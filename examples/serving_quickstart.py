@@ -101,7 +101,7 @@ def main() -> None:
     print(f"  engine calls:      {stats['engine_calls']}")
     print(f"  answer-cache hits: {stats['answer_cache']['hits']}")
     print(f"  plan-cache hits:   {stats['plan_cache']['hits']} "
-          f"over {stats['plan_cache']['plans']} distinct shapes")
+          f"over {stats['plan_cache']['entries']} distinct shapes")
     store_stats = stats["store"]
     print(f"  store:             {store_stats['resident']}/"
           f"{store_stats['models']} models resident "
@@ -185,8 +185,11 @@ def main() -> None:
     # 7. Observing the server: flip on the process-global metrics
     #    registry and the per-query trace ring, re-serve the dashboard
     #    traffic, and read back where the time went.  Both switches are
-    #    off by default and cost a no-op call per touch when off (the
-    #    bench-smoke OBS leg holds the enabled overhead under 5%).
+    #    off by default and cost a no-op call per touch when off
+    #    (tests/test_observability.py pins the instrument operations
+    #    and spans per served query when on; the slow-marked
+    #    benchmarks/bench_serving.py floor holds the timed overhead
+    #    under 5%).
     registry = repro.enable_metrics()
     traces = repro.enable_tracing(maxlen=256)
     with repro.QueryServer(engine, n_workers=4) as server:

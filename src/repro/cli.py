@@ -1,8 +1,9 @@
 """Command-line interface.
 
 The subcommands cover the offline workflow the paper describes, the
-serving loop, streaming ingest, and health checks for the batched
-engine:
+serving loop, streaming ingest and metrics exposition.  Speed and
+overhead numbers come from ``benchmarks/`` (``python -m benchmarks.e2e``),
+not from a subcommand.
 
 * ``generate``    — synthesise one of the evaluation datasets to CSV.
 * ``build``       — sample a CSV table, train a (group-by) model, append
@@ -22,26 +23,9 @@ engine:
   coalescing :class:`repro.serve.QueryServer`, from a catalog or store;
   ``--deadline-ms``/``--max-queue``/``--shed-policy``/``--degrade``
   expose the fault-tolerance knobs.
+* ``stats``       — print the metrics registry for a catalog or store
+  (Prometheus text or ``--json``), optionally after replaying a workload.
 * ``advise``      — mine a query-log file and print which models to build.
-* ``bench-smoke`` — a ~2 second batched-vs-scalar GROUP BY sanity check
-  covering both sides of the batched engine: *training* (batched trainer
-  vs the per-group loop, wall time + model-parameter parity) and
-  *querying* (batched evaluator vs the scalar loop, wall time + answer
-  parity), each run for 1-D predicates, for a MULTI leg with a
-  two-column predicate exercising the product-kernel path, and for a
-  FOREST leg training a boosted-tree set through the level-synchronous
-  forest kernel (node arrays must match the per-group fits bit for
-  bit), plus a SERVE
-  leg checking that coalesced/cached serving answers match sequential
-  ``execute`` and a FAULT leg serving the same workload from a model
-  store under injected faults (10% load latency, 1% corruption) where
-  every query must still be answered, and an INGEST leg appending ~5%
-  new rows to a streaming model set and checking the dirty-group
-  refresh against a full retrain on the same final sample; exits
-  non-zero if any side disagrees or availability drops below 100%.
-* ``bench-serve`` — in-process serving throughput check: a mixed
-  workload over a group-by model set, naive sequential ``execute`` vs
-  the query server, with answer parity enforced.
 
 Examples::
 
@@ -53,8 +37,6 @@ Examples::
     python -m repro refresh-store --store models.store --csv delta.csv --prune
     python -m repro serve --store models.store --queries workload.sql
     python -m repro advise --log workload.sql
-    python -m repro bench-smoke
-    python -m repro bench-serve
 """
 
 from __future__ import annotations
@@ -218,26 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
     advise.add_argument("--log", type=Path, required=True,
                         help="file with one SQL query per line")
     advise.add_argument("--max-models", type=int, default=10)
-
-    smoke = commands.add_parser(
-        "bench-smoke",
-        help="quick batched-vs-scalar GROUP BY sanity check",
-    )
-    smoke.add_argument("--groups", type=int, default=50)
-    smoke.add_argument("--rows", type=int, default=60,
-                       help="sample rows per group")
-    smoke.add_argument("--seed", type=int, default=7)
-
-    bench_serve = commands.add_parser(
-        "bench-serve",
-        help="serving throughput vs naive sequential execute",
-    )
-    bench_serve.add_argument("--groups", type=int, default=100)
-    bench_serve.add_argument("--rows", type=int, default=40,
-                             help="sample rows per group")
-    bench_serve.add_argument("--queries", type=int, default=200)
-    bench_serve.add_argument("--workers", type=int, default=4)
-    bench_serve.add_argument("--seed", type=int, default=7)
     return parser
 
 
@@ -491,8 +453,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if not sqls:
         print("error: no queries to serve", file=sys.stderr)
         return 2
-    import time
-
     registry = None
     if args.metrics_every is not None:
         if args.metrics_every < 1:
@@ -506,7 +466,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         registry = enable_metrics()
         enable_tracing()
 
-    start = time.perf_counter()
     with QueryServer(
         engine,
         n_workers=args.workers,
@@ -545,11 +504,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             # Final exposition while the server's pull collector is
             # still alive (it is weakly referenced).
             sys.stderr.write(render_prometheus(registry))
-    elapsed = time.perf_counter() - start
-    qps = len(sqls) / elapsed if elapsed > 0 else float("inf")
     print(
-        f"served {stats['queries']} queries in {elapsed * 1e3:.1f} ms "
-        f"({qps:.0f} q/s): {stats['batches']} engine batches, "
+        f"served {stats['queries']} queries: "
+        f"{stats['batches']} engine batches, "
         f"{stats['coalesced']} coalesced, {stats['engine_calls']} engine "
         f"calls, {stats['answer_cache']['hits']} answer-cache hits, "
         f"{stats['plan_cache']['hits']} plan-cache hits",
@@ -595,625 +552,6 @@ def _cmd_advise(args: argparse.Namespace) -> int:
     return 0
 
 
-def _smoke_leg(
-    prefix: str,
-    train_kwargs: dict,
-    ranges: dict,
-    param_arrays,
-) -> tuple[float, float]:
-    """Run one batched-vs-scalar leg (training + querying) of bench-smoke.
-
-    Prints one TRAIN row and one row per aggregate; returns the worst
-    trained-parameter and answer divergences.  ``param_arrays`` maps a
-    (batched_model, scalar_model) pair to the (got, expected) array pairs
-    compared for training parity.
-    """
-    import time
-
-    import numpy as np
-
-    from repro.core.groupby import GroupByModelSet
-    from repro.sql.ast import AggregateCall
-
-    train_timings = {}
-    trained = {}
-    for batched in (False, True):
-        GroupByModelSet.train(batched=batched, **train_kwargs)  # warm-up
-        start = time.perf_counter()
-        trained[batched] = GroupByModelSet.train(
-            batched=batched, **train_kwargs
-        )
-        train_timings[batched] = time.perf_counter() - start
-    train_worst = 0.0
-    for value, scalar_model in trained[False].models.items():
-        batched_model = trained[True].models[value]
-        for got, expected in param_arrays(batched_model, scalar_model):
-            if got.shape != expected.shape:
-                train_worst = float("inf")
-                continue
-            scale = np.maximum(1.0, np.abs(expected))
-            train_worst = max(
-                train_worst,
-                float(np.max(np.abs(got - expected) / scale, initial=0.0)),
-            )
-
-    model_set = trained[True]
-    if model_set.batched_evaluator() is None:
-        raise ReproError(
-            f"{prefix}smoke model set did not stack into the batched evaluator"
-        )
-    worst = 0.0
-    print(f"{prefix + 'TRAIN':<12} {train_timings[False] * 1e3:>8.2f}ms "
-          f"{train_timings[True] * 1e3:>8.2f}ms "
-          f"{train_timings[False] / train_timings[True]:>7.1f}x")
-    for func in ("COUNT", "SUM", "AVG"):
-        aggregate = AggregateCall(func, "y")
-        timings = {}
-        for batched in (False, True):
-            model_set.answer(aggregate, ranges, batched=batched)  # warm-up
-            start = time.perf_counter()
-            model_set.answer(aggregate, ranges, batched=batched)
-            timings[batched] = time.perf_counter() - start
-        batched_answers = model_set.answer(aggregate, ranges, batched=True)
-        scalar_answers = model_set.answer(aggregate, ranges, batched=False)
-        for value, expected in scalar_answers.items():
-            got = batched_answers[value]
-            if np.isnan(expected) or np.isnan(got):
-                if np.isnan(expected) != np.isnan(got):
-                    worst = float("inf")  # one-sided NaN is a divergence
-                continue
-            worst = max(worst, abs(got - expected) / max(1.0, abs(expected)))
-        print(f"{prefix + func:<12} {timings[False] * 1e3:>8.2f}ms "
-              f"{timings[True] * 1e3:>8.2f}ms "
-              f"{timings[False] / timings[True]:>7.1f}x")
-    return train_worst, worst
-
-
-def _serving_fixture(
-    groups: int, rows: int, seed: int, sample_size: int | None = None
-):
-    """A DBEst engine with one group-by and one scalar model, plus a
-    mixed serving workload (shared by bench-serve, the SERVE smoke leg,
-    and ``benchmarks/bench_serving.py``)."""
-    import numpy as np
-
-    from repro.storage.table import Table
-
-    rng = np.random.default_rng(seed)
-    n = groups * rows
-    g = np.repeat(np.arange(groups), rows).astype(np.float64)
-    x = rng.uniform(0.0, 100.0, size=n)
-    y = (1.0 + g * 0.05) * x + rng.normal(0.0, 1.0, size=n)
-    config = DBEstConfig(
-        regressor="plr", min_group_rows=min(30, rows),
-        integration_points=65, random_seed=seed,
-    )
-    engine = DBEst(config=config)
-    engine.register_table(Table({"x": x, "y": y, "g": g}, name="served"))
-    size = sample_size or n
-    engine.build_model("served", x="x", y="y", sample_size=size, group_by="g")
-    engine.build_model("served", x="x", y="y", sample_size=size)
-    bounds = [(20.0, 60.0), (10.0, 45.0), (55.0, 90.0), (30.0, 75.0)]
-    distinct = []
-    for lo, hi in bounds:
-        for func, column in (("COUNT", "x"), ("SUM", "y"), ("AVG", "y")):
-            distinct.append(
-                f"SELECT {func}({column}) FROM served "
-                f"WHERE x BETWEEN {lo} AND {hi} GROUP BY g;"
-            )
-        distinct.append(
-            f"SELECT AVG(y) FROM served WHERE x BETWEEN {lo} AND {hi};"
-        )
-    return engine, distinct
-
-
-def _serving_divergence(sequential, served) -> float:
-    """Worst relative divergence between two lists of QueryResults."""
-    import math
-
-    worst = 0.0
-    for seq_result, served_result in zip(sequential, served):
-        for label, expected in seq_result.values.items():
-            got = served_result.values[label]
-            if isinstance(expected, dict):
-                pairs = [(expected[value], got[value]) for value in expected]
-            else:
-                pairs = [(expected, got)]
-            for want, have in pairs:
-                if math.isnan(want) or math.isnan(have):
-                    if math.isnan(want) != math.isnan(have):
-                        worst = float("inf")
-                    continue
-                worst = max(worst, abs(have - want) / max(1.0, abs(want)))
-    return worst
-
-
-def _smoke_serve_leg(args: argparse.Namespace) -> float:
-    """Coalesced/cached serving vs sequential execute; returns worst
-    divergence and prints one SERVE timing row."""
-    import time
-
-    from repro.serve import QueryServer
-
-    engine, distinct = _serving_fixture(
-        min(args.groups, 20), args.rows, args.seed
-    )
-    workload = distinct * 3
-    engine.execute(workload[0])  # warm-up (evaluator stacking)
-    start = time.perf_counter()
-    sequential = [engine.execute(sql) for sql in workload]
-    sequential_s = time.perf_counter() - start
-    with QueryServer(engine, n_workers=2) as server:
-        start = time.perf_counter()
-        served = server.run(workload)
-        served_s = time.perf_counter() - start
-    print(f"{'SERVE':<12} {sequential_s * 1e3:>8.2f}ms {served_s * 1e3:>8.2f}ms "
-          f"{sequential_s / served_s:>7.1f}x")
-    return _serving_divergence(sequential, served)
-
-
-def _smoke_fault_leg(args: argparse.Namespace) -> tuple[int, int, float]:
-    """Serve the smoke workload from a store under injected faults.
-
-    10% of record loads suffer a latency spike and 1% return corrupted
-    bytes (seeded, so the schedule is reproducible).  Every query must
-    still resolve — answered exactly from intact models, or flagged
-    ``degraded`` when a record was quarantined.  Returns
-    ``(unanswered, degraded, worst_divergence_of_exact_answers)`` and
-    prints one FAULT timing row.
-    """
-    import tempfile
-    import time
-
-    from repro.serve import STORE_LOAD, FaultInjector, ModelStore, QueryServer
-
-    engine, distinct = _serving_fixture(
-        min(args.groups, 20), args.rows, args.seed
-    )
-    workload = distinct * 3
-    engine.execute(workload[0])  # warm-up (evaluator stacking)
-    sequential = [engine.execute(sql) for sql in workload]
-    faults = FaultInjector(seed=args.seed)
-    faults.inject(STORE_LOAD, probability=0.10, latency_s=0.002)
-    faults.inject(STORE_LOAD, probability=0.01, corrupt=True)
-    with tempfile.TemporaryDirectory() as tmp:
-        store_path = Path(tmp) / "models.store"
-        ModelStore.write(engine.catalog, store_path)
-        # cache_bytes=1 evicts every record after use, so each answer
-        # re-crosses the faulty store.load seam instead of hiding in
-        # the residency cache.
-        engine.catalog = ModelStore(store_path, cache_bytes=1, faults=faults)
-        start = time.perf_counter()
-        with QueryServer(engine, n_workers=2, answer_cache_size=1) as server:
-            futures = [server.submit(sql) for sql in workload]
-            served = []
-            for future in futures:
-                try:
-                    served.append(future.result(timeout=30.0))
-                except Exception:
-                    served.append(None)
-        served_s = time.perf_counter() - start
-    unanswered = sum(1 for result in served if result is None)
-    degraded = sum(
-        1 for result in served if result is not None and result.degraded
-    )
-    exact_pairs = [
-        (seq, got)
-        for seq, got in zip(sequential, served)
-        if got is not None and not got.degraded
-    ]
-    worst = _serving_divergence(
-        [pair[0] for pair in exact_pairs], [pair[1] for pair in exact_pairs]
-    )
-    print(f"{'FAULT':<12} {'':>10} {served_s * 1e3:>8.2f}ms "
-          f"{len(workload) - unanswered}/{len(workload)} answered, "
-          f"{degraded} degraded, {faults.fired(STORE_LOAD)} faults fired")
-    return unanswered, degraded, worst
-
-
-def _smoke_mmap_leg(args: argparse.Namespace) -> float:
-    """Serve the workload from a zero-copy mapped store; answers must
-    be bit-identical to the in-memory catalog (returns the worst
-    divergence) and worker-pool segments must pickle by reference."""
-    import pickle
-    import tempfile
-    import time
-    from pathlib import Path
-
-    from repro.serve import MappedGroupByModelSet, ModelStore
-
-    engine, distinct = _serving_fixture(
-        min(args.groups, 20), args.rows, args.seed
-    )
-    engine.execute(distinct[0])  # warm-up (evaluator stacking)
-    sequential = [engine.execute(sql) for sql in distinct]
-    with tempfile.TemporaryDirectory() as tmp:
-        store_path = Path(tmp) / "models.store"
-        ModelStore.write(engine.catalog, store_path, store_format="mmap")
-        engine.catalog = ModelStore(store_path)
-        start = time.perf_counter()
-        served = [engine.execute(sql) for sql in distinct]
-        served_s = time.perf_counter() - start
-        mapped = [
-            engine.catalog.get(key)
-            for key in engine.catalog.keys()
-            if key.group_by
-        ]
-        assert all(
-            isinstance(model, MappedGroupByModelSet) for model in mapped
-        ), "group-by records did not load through the mapped path"
-        segment_bytes = max(
-            len(pickle.dumps(segment))
-            for model in mapped
-            for segment in model.batched_evaluator().split(4)
-        )
-        stats = engine.catalog.stats()
-    worst = _serving_divergence(sequential, served)
-    print(f"{'MMAP':<12} {'':>10} {served_s * 1e3:>8.2f}ms "
-          f"{stats['mapped_bytes']} B mapped, "
-          f"{stats['heap_bytes']} B heap, "
-          f"{segment_bytes} B worst segment pickle")
-    if segment_bytes > 4096:
-        raise AssertionError(
-            f"mapped evaluator segments pickle at {segment_bytes} bytes — "
-            "they are shipping arrays, not path references"
-        )
-    return worst
-
-
-def _smoke_ingest_leg(args: argparse.Namespace) -> float:
-    """Streaming ingest: append ~5% new rows, refresh only the dirty
-    groups, and check answers against a from-scratch retrain on the same
-    final sample (returns the worst divergence); prints one INGEST row
-    timing the full retrain against the dirty-group refresh."""
-    import time
-
-    import numpy as np
-
-    from repro.core.groupby import GroupByModelSet
-    from repro.sql.ast import AggregateCall
-
-    groups = max(10, min(args.groups, 40))
-    rows = args.rows
-    rng = np.random.default_rng(args.seed)
-    n = groups * rows
-    g = np.repeat(np.arange(groups), rows).astype(np.float64)
-    x = rng.uniform(0.0, 100.0, size=n)
-    y = (1.0 + g * 0.05) * x + rng.normal(0.0, 1.0, size=n)
-    config = DBEstConfig(
-        regressor="plr", min_group_rows=min(30, rows),
-        integration_points=65, random_seed=args.seed,
-    )
-    model_set = GroupByModelSet.train(
-        sample_x=x, sample_y=y, sample_groups=g,
-        full_groups=g, full_x=x, full_y=y,
-        table_name="ingest", x_columns=("x",), y_column="y",
-        group_column="g", config=config, batched=True, streaming=True,
-    )
-    # A ~5% delta landing in ~10% of the groups.
-    dirty_values = np.arange(max(1, groups // 10), dtype=np.float64)
-    m = max(1, n // 20)
-    dg = dirty_values[rng.integers(0, dirty_values.shape[0], size=m)]
-    dx = rng.uniform(0.0, 100.0, size=m)
-    dy = (1.0 + dg * 0.05) * dx + rng.normal(0.0, 1.0, size=m)
-    start = time.perf_counter()
-    dirty = model_set.refresh(dx, dy, dg)
-    refresh_s = time.perf_counter() - start
-    stream = model_set._stream
-    start = time.perf_counter()
-    oracle = GroupByModelSet.train(
-        sample_x=stream.sample_x, sample_y=stream.sample_y,
-        sample_groups=stream.sample_groups,
-        full_groups=np.concatenate([g, dg]),
-        full_x=np.concatenate([x, dx]),
-        full_y=np.concatenate([y, dy]),
-        table_name="ingest", x_columns=("x",), y_column="y",
-        group_column="g", config=config, batched=True,
-    )
-    retrain_s = time.perf_counter() - start
-    worst = 0.0
-    ranges = {"x": (20.0, 60.0)}
-    for func in ("COUNT", "SUM", "AVG"):
-        aggregate = AggregateCall(func, "y")
-        got = model_set.answer(aggregate, ranges, batched=True)
-        expected = oracle.answer(aggregate, ranges, batched=True)
-        for value, want in expected.items():
-            have = got[value]
-            if np.isnan(want) or np.isnan(have):
-                if np.isnan(want) != np.isnan(have):
-                    worst = float("inf")
-                continue
-            worst = max(worst, abs(have - want) / max(1.0, abs(want)))
-    print(f"{'INGEST':<12} {retrain_s * 1e3:>8.2f}ms "
-          f"{refresh_s * 1e3:>8.2f}ms "
-          f"{retrain_s / refresh_s:>7.1f}x  "
-          f"({len(dirty)}/{groups} groups dirty)")
-    return worst
-
-
-def measure_observability_overhead(
-    groups: int, rows: int, seed: int, repeats: int = 9
-) -> dict:
-    """Serving CPU time with instrumentation off vs fully on.
-
-    Runs the SERVE-leg workload through a fresh query server per
-    measurement and estimates the relative cost of enabling metrics +
-    tracing.  Methodology, chosen for stability on noisy shared boxes:
-
-    * **CPU time** (``time.process_time``), not wall time — the
-      instrumentation cost is pure CPU work, and wall time of a
-      threaded server run carries multi-millisecond scheduler jitter
-      that dwarfs a 5% budget.
-    * **Representative per-query work** — the fixture is clamped to
-      20 groups and at least 1000 rows/group regardless of the smoke
-      run's ``--groups``/``--rows``; at toy sizes every answer costs
-      microseconds and the fixed per-trace cost is measured against
-      near-zero serving cost.
-    * **Paired alternating runs** — ``repeats`` adjacent off/on pairs
-      (order flipped each pair) after warm-up, combined as the smaller
-      of the median per-pair ratio and the min-vs-min ratio.  Noise
-      only ever inflates either estimator, so taking the lower of the
-      two tightens the upper estimate of the true overhead.
-
-    Returns ``{"off_s", "on_s", "overhead"}``: median CPU seconds per
-    arm plus the overhead estimate (clamped at 0).
-    """
-    import statistics
-    import time
-
-    from repro.obs import disable_metrics, enable_metrics
-    from repro.obs.trace import disable_tracing, enable_tracing
-    from repro.serve import QueryServer
-
-    engine, distinct = _serving_fixture(20, max(rows, 1000), seed)
-    workload = distinct * 3
-    engine.execute(workload[0])  # warm-up (evaluator stacking)
-
-    def _run() -> float:
-        with QueryServer(engine, n_workers=2) as server:
-            start = time.process_time()
-            server.run(workload)
-            return time.process_time() - start
-
-    _run()
-    _run()  # warm both allocator and thread machinery before pairing
-    samples: dict[bool, list[float]] = {False: [], True: []}
-    for index in range(repeats):
-        order = (True, False) if index % 2 else (False, True)
-        for instrumented in order:
-            if instrumented:
-                enable_metrics()
-                enable_tracing()
-            else:
-                disable_metrics()
-                disable_tracing()
-            try:
-                samples[instrumented].append(_run())
-            finally:
-                disable_metrics()
-                disable_tracing()
-    paired = statistics.median(
-        on / off for on, off in zip(samples[True], samples[False])
-    )
-    mins = min(samples[True]) / min(samples[False])
-    overhead = max(0.0, min(paired, mins) - 1.0)
-    return {
-        "off_s": statistics.median(samples[False]),
-        "on_s": statistics.median(samples[True]),
-        "overhead": overhead,
-    }
-
-
-def _smoke_obs_leg(args: argparse.Namespace) -> float:
-    """Instrumentation overhead on the SERVE workload; must stay < 5%.
-
-    Prints one OBS row and best-effort records the measurement as the
-    ``overhead`` entry of BENCH_serving.json (when the file exists).
-    """
-    import json
-
-    result = measure_observability_overhead(args.groups, args.rows, args.seed)
-    print(f"{'OBS':<12} {result['off_s'] * 1e3:>8.2f}ms "
-          f"{result['on_s'] * 1e3:>8.2f}ms "
-          f"{result['overhead'] * 100:>6.1f}%  (cpu, metrics+tracing on)")
-    bench_path = Path(__file__).resolve().parents[2] / "BENCH_serving.json"
-    try:
-        record = json.loads(bench_path.read_text())
-        record["overhead"] = {
-            "baseline_s": round(result["off_s"], 6),
-            "instrumented_s": round(result["on_s"], 6),
-            "relative": round(result["overhead"], 4),
-        }
-        bench_path.write_text(json.dumps(record, indent=2) + "\n")
-    except (OSError, ValueError):
-        pass  # no bench record to annotate (installed package, CI cwd)
-    return result["overhead"]
-
-
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    """Mixed-workload serving throughput vs naive sequential execute."""
-    import time
-
-    import numpy as np
-
-    from repro.serve import QueryServer
-
-    if args.groups < 1 or args.rows < 1 or args.queries < 1:
-        print("error: bench-serve needs positive --groups/--rows/--queries",
-              file=sys.stderr)
-        return 2
-    engine, distinct = _serving_fixture(args.groups, args.rows, args.seed)
-    rng = np.random.default_rng(args.seed)
-    workload = [distinct[i] for i in rng.integers(0, len(distinct), args.queries)]
-    engine.execute(workload[0])  # warm-up (evaluator stacking)
-    start = time.perf_counter()
-    sequential = [engine.execute(sql) for sql in workload]
-    sequential_s = time.perf_counter() - start
-    with QueryServer(engine, n_workers=args.workers) as server:
-        start = time.perf_counter()
-        served = server.run(workload)
-        served_s = time.perf_counter() - start
-        stats = server.stats()
-    worst = _serving_divergence(sequential, served)
-    print(f"{args.queries} queries over {len(distinct)} templates, "
-          f"{args.groups} groups, {args.workers} workers")
-    print(f"sequential execute: {sequential_s:8.3f}s "
-          f"({args.queries / sequential_s:8.0f} q/s)")
-    print(f"query server:       {served_s:8.3f}s "
-          f"({args.queries / served_s:8.0f} q/s)   "
-          f"{sequential_s / served_s:.1f}x")
-    print(f"{stats['batches']} batches, {stats['coalesced']} coalesced, "
-          f"{stats['engine_calls']} engine calls, "
-          f"{stats['answer_cache']['hits']} answer-cache hits, "
-          f"{stats['plan_cache']['hits']} plan-cache hits")
-    print(f"max divergence vs sequential: {worst:.2e}")
-    if worst > 1e-9:
-        print("error: served answers diverge from sequential execute "
-              "beyond 1e-9", file=sys.stderr)
-        return 2
-    print("ok: coalesced/cached serving matches sequential execute")
-    return 0
-
-
-def _cmd_bench_smoke(args: argparse.Namespace) -> int:
-    """Batched-vs-scalar GROUP BY check on small synthetic model sets."""
-    import numpy as np
-
-    if args.groups < 1 or args.rows < 1:
-        print("error: bench-smoke needs --groups >= 1 and --rows >= 1",
-              file=sys.stderr)
-        return 2
-    rng = np.random.default_rng(args.seed)
-    n = args.groups * args.rows
-    groups = np.repeat(np.arange(args.groups), args.rows)
-    x = rng.uniform(0.0, 100.0, size=n)
-    y = (1.0 + groups * 0.1) * x + rng.normal(0.0, 1.0, size=n)
-    config = DBEstConfig(
-        regressor="plr", min_group_rows=min(30, args.rows),
-        integration_points=65, random_seed=args.seed,
-    )
-    print(f"{'leg':<12} {'scalar':>10} {'batched':>10} {'speedup':>8}")
-    train_worst, worst = _smoke_leg(
-        "",
-        dict(
-            sample_x=x, sample_y=y, sample_groups=groups,
-            full_groups=groups, full_x=x, full_y=y,
-            table_name="smoke", x_columns=("x",), y_column="y",
-            group_column="g", config=config,
-        ),
-        {"x": (20.0, 60.0)},
-        lambda batched, scalar: (
-            (batched.density._centres, scalar.density._centres),
-            (batched.density._weights, scalar.density._weights),
-            (batched.regressor._coef, scalar.regressor._coef),
-            (batched.regressor._knots, scalar.regressor._knots),
-        ),
-    )
-
-    # MULTI leg: a two-column predicate through the product-kernel path.
-    x2 = np.column_stack([x, rng.uniform(-5.0, 5.0, size=n)])
-    y2 = (1.0 + groups * 0.1) * x2[:, 0] + 2.0 * x2[:, 1] \
-        + rng.normal(0.0, 1.0, size=n)
-    multi_config = DBEstConfig(
-        regressor="linear", min_group_rows=min(30, args.rows),
-        integration_points=65, random_seed=args.seed,
-    )
-    multi_train_worst, multi_worst = _smoke_leg(
-        "MULTI-",
-        dict(
-            sample_x=x2, sample_y=y2, sample_groups=groups,
-            full_groups=groups, full_x=x2, full_y=y2,
-            table_name="smoke2", x_columns=("a", "b"), y_column="y",
-            group_column="g", config=multi_config,
-        ),
-        {"a": (20.0, 60.0), "b": (-3.0, 3.0)},
-        lambda batched, scalar: (
-            (batched.density._centres, scalar.density._centres),
-            (batched.density._weights, scalar.density._weights),
-            (batched.density._h, scalar.density._h),
-            (batched.regressor._coef, scalar.regressor._coef),
-        ),
-    )
-    train_worst = max(train_worst, multi_train_worst)
-    worst = max(worst, multi_worst)
-
-    # FOREST leg: a boosted-tree model set through the level-synchronous
-    # forest kernel vs the per-group fits (node thresholds/values must
-    # match bit-for-bit; the divergence printed is over those arrays).
-    forest_config = DBEstConfig(
-        regressor="gboost", min_group_rows=min(30, args.rows),
-        integration_points=65, random_seed=args.seed,
-    )
-
-    def _stage_nodes(model, key):
-        return np.concatenate(
-            [tree._nodes[key] for tree in model.regressor._trees]
-        )
-
-    forest_train_worst, forest_worst = _smoke_leg(
-        "FOREST-",
-        dict(
-            sample_x=x, sample_y=y, sample_groups=groups,
-            full_groups=groups, full_x=x, full_y=y,
-            table_name="smoke3", x_columns=("x",), y_column="y",
-            group_column="g", config=forest_config,
-        ),
-        {"x": (20.0, 60.0)},
-        lambda batched, scalar: (
-            (batched.density._centres, scalar.density._centres),
-            (batched.density._weights, scalar.density._weights),
-            (_stage_nodes(batched, "threshold"),
-             _stage_nodes(scalar, "threshold")),
-            (_stage_nodes(batched, "value"), _stage_nodes(scalar, "value")),
-        ),
-    )
-    train_worst = max(train_worst, forest_train_worst)
-    worst = max(worst, forest_worst)
-
-    # SERVE leg: coalesced/cached serving vs sequential execute.
-    serve_worst = _smoke_serve_leg(args)
-
-    # MMAP leg: same workload served from a zero-copy mapped store.
-    mmap_worst = _smoke_mmap_leg(args)
-    serve_worst = max(serve_worst, mmap_worst)
-
-    # FAULT leg: same workload from a faulty store; availability must
-    # stay at 100% (exact answers or degraded, never unanswered).
-    unanswered, _degraded, fault_worst = _smoke_fault_leg(args)
-    serve_worst = max(serve_worst, fault_worst)
-
-    # INGEST leg: append ~5% rows, dirty-group refresh vs full retrain.
-    ingest_worst = _smoke_ingest_leg(args)
-    worst = max(worst, ingest_worst)
-
-    # OBS leg: the SERVE workload with metrics + tracing fully enabled
-    # must stay within 5% of the uninstrumented q/s.
-    obs_overhead = _smoke_obs_leg(args)
-    print(f"max answer divergence over {args.groups} groups: {worst:.2e}; "
-          f"max trained-parameter divergence: {train_worst:.2e}; "
-          f"max serving divergence: {serve_worst:.2e}")
-    if unanswered:
-        print(f"error: {unanswered} queries went unanswered under injected "
-              "store faults (availability < 100%)", file=sys.stderr)
-        return 2
-    if worst > 1e-9 or train_worst > 1e-9 or serve_worst > 1e-9:
-        print("error: batched/scalar or served/sequential paths disagree "
-              "beyond 1e-9", file=sys.stderr)
-        return 2
-    if obs_overhead >= 0.05:
-        print(f"error: instrumentation overhead {obs_overhead * 100:.1f}% "
-              "on the SERVE workload exceeds the 5% budget",
-              file=sys.stderr)
-        return 2
-    print("ok: batched training and evaluation match the scalar oracles "
-          "(1-D, multivariate and forest), coalesced serving matches "
-          "sequential execute, the zero-copy mapped store matches the "
-          "in-memory catalog, serving stayed available under injected "
-          "faults, the streaming dirty-group refresh matches a full "
-          "retrain, and instrumentation overhead stays under 5%")
-    return 0
-
-
 _COMMANDS = {
     "generate": _cmd_generate,
     "build": _cmd_build,
@@ -1224,8 +562,6 @@ _COMMANDS = {
     "serve": _cmd_serve,
     "stats": _cmd_stats,
     "advise": _cmd_advise,
-    "bench-smoke": _cmd_bench_smoke,
-    "bench-serve": _cmd_bench_serve,
 }
 
 

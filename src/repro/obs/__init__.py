@@ -7,8 +7,12 @@ refresh path, and the fault injector — reports into one process-global
 :class:`MetricsRegistry` and, per query, into bounded
 :class:`~repro.obs.trace.Trace` span buffers.  Both are off by default
 and cost one global read plus a no-op call when disabled, so the hot
-paths stay within their benchmarked budgets (the bench-smoke OBS leg
-asserts < 5% serving overhead with everything enabled).
+paths stay within their budgets: ``tests/test_observability.py::
+TestServingObservability`` pins the instrument operations and spans a
+served query may cost with everything enabled (and that a disabled pass
+touches only the shared no-ops), and the slow-marked
+``benchmarks/bench_serving.py::test_serving_observability_overhead``
+holds the timed serving overhead under 5%.
 
 Enable and read back::
 

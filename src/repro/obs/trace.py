@@ -80,7 +80,8 @@ class Trace:
     thread at a time (the submitting thread creates it, then exactly
     one batch worker activates it, records spans, and finishes it), so
     the hot ``add_span`` path stays at a list append — per-trace locks
-    measurably showed up in the bench-smoke OBS overhead leg.
+    measurably showed up in the serving overhead floor
+    (``benchmarks/bench_serving.py::test_serving_observability_overhead``).
     """
 
     __slots__ = (

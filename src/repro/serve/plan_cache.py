@@ -76,11 +76,10 @@ class PlanCache:
     def stats(self) -> dict:
         """Counters under the normalized cache schema.
 
-        ``entries``/``max_entries`` are the canonical occupancy keys
-        shared with :class:`~repro.serve.answer_cache.AnswerCache`;
-        ``plans``/``max_plans`` remain as backward-compatible aliases.
-        The dict is freshly built per call — mutating it cannot touch
-        live cache state.
+        ``entries``/``max_entries`` are the occupancy keys shared with
+        :class:`~repro.serve.answer_cache.AnswerCache`.  The dict is
+        freshly built per call — mutating it cannot touch live cache
+        state.
         """
         with self._lock:
             return {
@@ -89,9 +88,6 @@ class PlanCache:
                 "hits": self._hits,
                 "misses": self._misses,
                 "evictions": self._evictions,
-                # Pre-normalization aliases (kept for existing callers).
-                "plans": len(self._plans),
-                "max_plans": self.max_plans,
             }
 
     def clear(self) -> None:

@@ -7,11 +7,32 @@ explicitly.
 
 from __future__ import annotations
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro import DBEstConfig, Table
 from repro.engines import ExactEngine
+
+
+def _tracked_record_hashes() -> dict[str, str]:
+    root = Path(__file__).resolve().parents[1]
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in [*root.glob("BENCH_*.json"), root / "BENCHMARK.json"]
+    }
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _tracked_records_stay_untouched():
+    """The suite is read-only: no test may rewrite (or add) a benchmark
+    record at the repo root; only ``python benchmarks/bench_x.py`` and
+    the e2e harness record."""
+    before = _tracked_record_hashes()
+    yield
+    assert _tracked_record_hashes() == before
 
 
 @pytest.fixture

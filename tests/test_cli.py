@@ -125,16 +125,6 @@ class TestAdvise:
         assert main(["advise", "--log", str(log)]) == 1
 
 
-class TestBenchSmoke:
-    def test_reports_parity_and_timings(self, capsys):
-        assert main(["bench-smoke", "--groups", "8", "--rows", "40"]) == 0
-        out = capsys.readouterr().out
-        assert "speedup" in out
-        assert "TRAIN" in out
-        assert "SERVE" in out
-        assert "ok: batched training and evaluation match the scalar oracles" in out
-
-
 class TestServe:
     @pytest.fixture
     def catalog(self, ccpp_csv, tmp_path):
@@ -189,14 +179,3 @@ class TestServe:
         out = capsys.readouterr().out
         assert out.count("AVG(EP)\t") == 2  # both valid queries answered
         assert "error:" in out               # the bad line is reported
-
-
-class TestBenchServe:
-    def test_parity_and_report(self, capsys):
-        assert main([
-            "bench-serve", "--groups", "10", "--rows", "40",
-            "--queries", "40", "--workers", "2",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "query server" in out
-        assert "ok: coalesced/cached serving matches sequential execute" in out

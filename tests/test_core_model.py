@@ -152,14 +152,19 @@ class TestAggregates:
 
 
 class TestMultivariate:
-    @pytest.fixture
-    def model_2d(self, rng):
+    @pytest.fixture(scope="class")
+    def model_2d(self):
+        rng = np.random.default_rng(1234)
         x = rng.uniform(0.0, 1.0, size=(12_000, 2))
         y = 5.0 * x[:, 0] + 2.0 * x[:, 1] + rng.normal(0, 0.05, size=12_000)
+        # A 33 x 33 tensor grid: these check box plumbing, not
+        # quadrature order, and the default 257 x 257 costs ~10 s.
         return ColumnSetModel.train(
             x, y, table_name="t", x_columns=("a", "b"), y_column="y",
             population_size=100_000,
-            config=DBEstConfig(regressor="xgboost", random_seed=3),
+            config=DBEstConfig(
+                regressor="xgboost", integration_points=33, random_seed=3
+            ),
         )
 
     def test_count_over_box(self, model_2d):

@@ -21,14 +21,16 @@ import pytest
 from repro.core import DBEst, DBEstConfig
 from repro.obs import (
     LATENCY_BUCKETS,
+    NULL_REGISTRY,
     Histogram,
     MetricsRegistry,
+    NullRegistry,
     disable_metrics,
     enable_metrics,
     get_registry,
     render_prometheus,
+    set_registry,
 )
-from repro.obs.registry import NULL_REGISTRY
 from repro.obs.trace import (
     MAX_SPANS,
     Trace,
@@ -317,6 +319,72 @@ def obs_engine():
     return engine
 
 
+class _LoggedInstrument:
+    """A live instrument whose writes land in the registry's op log."""
+
+    def __init__(self, inner, name: str, log: list) -> None:
+        self._inner, self._name, self._log = inner, name, log
+
+    def _logged(self, op: str, *args) -> None:
+        self._log.append((op, self._name))
+        getattr(self._inner, op)(*args)
+
+    def inc(self, amount: float = 1.0) -> None:
+        self._logged("inc", amount)
+
+    def dec(self, amount: float = 1.0) -> None:
+        self._logged("dec", amount)
+
+    def set(self, value: float) -> None:
+        self._logged("set", value)
+
+    def observe(self, value: float) -> None:
+        self._logged("observe", value)
+
+
+class _CountingRegistry(MetricsRegistry):
+    """Logs every instrument lookup and write as ``(op, metric name)``.
+
+    ``list.append`` is atomic and a one-worker server makes every
+    serving-path operation on that one thread, so the log is the exact
+    per-query sequence.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.log: list[tuple[str, str]] = []
+
+    def _lookup(self, kind: str, name: str, *args, **kwargs):
+        self.log.append((kind, name))
+        inner = getattr(super(), kind)(name, *args, **kwargs)
+        return _LoggedInstrument(inner, name, self.log)
+
+    def counter(self, name, *args, **kwargs):
+        return self._lookup("counter", name, *args, **kwargs)
+
+    def gauge(self, name, *args, **kwargs):
+        return self._lookup("gauge", name, *args, **kwargs)
+
+    def histogram(self, name, *args, **kwargs):
+        return self._lookup("histogram", name, *args, **kwargs)
+
+
+#: Bounds no other test in this module uses, so the module-scoped
+#: engine's pdf-grid memo is cold for each of them.
+_BUDGET_WORKLOAD = [
+    f"SELECT AVG(y) FROM obs WHERE x BETWEEN {lo} AND {lo + 27} GROUP BY g;"
+    for lo in (11, 22, 33, 44)
+]
+
+
+def _serve_one_at_a_time(engine, workload) -> None:
+    """Every query through a one-worker server, each resolved before the
+    next is submitted — nothing can coalesce, whatever the scheduler does."""
+    with QueryServer(engine, n_workers=1) as server:
+        for sql in workload:
+            server.submit(sql).result()
+
+
 class TestServingObservability:
     def test_trace_spans_sum_to_observed_wall(self, obs_engine):
         """Top-level spans of every served trace account for its wall
@@ -372,19 +440,72 @@ class TestServingObservability:
             for key in ("entries", "max_entries", "hits", "misses",
                         "evictions"):
                 assert key in cache, f"missing normalized key {key}"
-        # Backward-compatible aliases stay.
-        assert stats["plan_cache"]["plans"] == stats["plan_cache"]["entries"]
+        # One schema, no per-cache aliases.
+        assert set(stats["plan_cache"]) == set(stats["answer_cache"])
         # Mutating the returned dicts must not leak into the server.
         stats["plan_cache"]["hits"] = -1
         assert server.stats()["plan_cache"]["hits"] != -1
 
-    def test_overhead_disabled_instrumentation_is_cheap(self, obs_engine):
-        """With metrics off the instrumented path is a no-op registry:
-        no instruments are minted anywhere in a served pass."""
-        assert get_registry() is NULL_REGISTRY
-        with QueryServer(obs_engine, n_workers=1) as server:
-            server.run([
-                "SELECT SUM(y) FROM obs WHERE x BETWEEN 25 AND 75 GROUP BY g;"
-            ])
-        live = enable_metrics()
-        assert live.snapshot()["histograms"] == {}
+    #: What one served GROUP BY query costs with metrics + tracing on,
+    #: as (instrument operations = lookups + writes, spans), counted at
+    #: PR 22.  Budgets, not targets: lower passes, raising one needs a
+    #: reason.  With metrics off every call site branches on
+    #: ``registry.enabled`` first, so a pass makes no lookup at all.
+    MISS_BUDGET = (20, 6)
+    HIT_BUDGET = (6, 3)
+    DISABLED_LOOKUPS = 0
+
+    def test_enabled_instrumentation_stays_within_its_budget(self, obs_engine):
+        registry = _CountingRegistry()
+        set_registry(registry)
+        buffer = enable_tracing()
+        _serve_one_at_a_time(obs_engine, _BUDGET_WORKLOAD * 2)
+        # The per-query latency observation is a query's last operation.
+        per_query, current = [], []
+        for op in registry.log:
+            current.append(op)
+            if op == ("observe", "repro_serve_query_seconds"):
+                per_query.append(current)
+                current = []
+        assert current == []
+        traces = buffer.traces()
+        k = len(_BUDGET_WORKLOAD)
+        assert [t.outcome for t in traces] == ["model"] * k + ["cache"] * k
+        assert len(per_query) == 2 * k
+        for ops, trace in zip(per_query, traces):
+            max_ops, max_spans = (
+                self.MISS_BUDGET if trace.outcome == "model"
+                else self.HIT_BUDGET
+            )
+            assert len(ops) <= max_ops, ops
+            spans = len(trace.spans) + trace.dropped
+            assert spans <= max_spans <= MAX_SPANS, trace.render()
+
+    def test_overhead_disabled_instrumentation_is_cheap(
+        self, obs_engine, monkeypatch
+    ):
+        """With metrics off a served pass (misses, then cache hits) sees
+        only NULL_REGISTRY and its shared no-op instruments, records no
+        trace, and mints nothing a later enable_metrics() would show."""
+        assert get_registry() is NULL_REGISTRY and trace_buffer() is None
+        shared = [
+            getattr(NULL_REGISTRY, kind)("x")
+            for kind in ("counter", "gauge", "histogram")
+        ]
+        lookups = []
+        for cls in (NullRegistry, MetricsRegistry):
+            for kind in ("counter", "gauge", "histogram"):
+                def spy(self, *args, _real=getattr(cls, kind), **kwargs):
+                    instrument = _real(self, *args, **kwargs)
+                    lookups.append((self, instrument))
+                    return instrument
+                monkeypatch.setattr(cls, kind, spy)
+        _serve_one_at_a_time(obs_engine, _BUDGET_WORKLOAD * 2)
+        monkeypatch.undo()
+        for registry, instrument in lookups:
+            assert registry is NULL_REGISTRY
+            assert any(instrument is noop for noop in shared)
+        assert len(lookups) <= self.DISABLED_LOOKUPS
+        assert get_registry() is NULL_REGISTRY and trace_buffer() is None
+        snapshot = enable_metrics().snapshot()
+        assert snapshot["histograms"] == {} and snapshot["counters"] == {}

@@ -255,13 +255,11 @@ class TestPlanCache:
         assert stats == {
             "entries": 1, "max_entries": 256, "hits": 1, "misses": 1,
             "evictions": 0,
-            # legacy aliases, kept for dashboards scripted against them
-            "plans": 1, "max_plans": 256,
         }
         # A different shape (string literal vs number) is its own plan.
         cache.parse("SELECT AVG(y) FROM t WHERE x BETWEEN 10 AND 20 AND "
                     "g = 'a';", validate=False)
-        assert cache.stats()["plans"] == 2
+        assert cache.stats()["entries"] == 2
 
     def test_reversed_between_raises_on_bind(self):
         cache = PlanCache()
@@ -292,7 +290,7 @@ class TestPlanCache:
             cache.parse(f"SELECT AVG({column}) FROM t WHERE {column} <= 1;",
                         validate=False)
         stats = cache.stats()
-        assert stats["plans"] == 2 and stats["evictions"] == 1
+        assert stats["entries"] == 2 and stats["evictions"] == 1
 
     def test_syntax_errors_propagate(self):
         cache = PlanCache()

@@ -81,7 +81,11 @@ class TestEndToEnd:
     def test_univariate_query_on_multivariate_model(self, table_2d):
         truth = ExactEngine()
         truth.register_table(table_2d)
-        engine = DBEst(config=DBEstConfig(regressor="xgboost", random_seed=3))
+        # 33-point grid per dimension: marginalising b integrates a
+        # 33 x 33 tensor instead of the default 257 x 257 (~10 s).
+        engine = DBEst(config=DBEstConfig(
+            regressor="xgboost", integration_points=33, random_seed=3
+        ))
         engine.register_table(table_2d)
         # Only the 2-D model exists.
         engine.build_model("t2", x=("a", "b"), y="y", sample_size=10_000)
