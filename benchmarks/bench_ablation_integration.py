@@ -1,9 +1,14 @@
-"""Ablation: integration method — fixed Simpson grid vs adaptive QUADPACK.
+"""Ablation: integration method — ``"simpson"`` vs adaptive QUADPACK.
 
-The paper integrates with SciPy's QUADPACK (adaptive Gauss–Kronrod); we
-default to a vectorised Simpson grid because tree-ensemble integrands
-are piecewise constant and a single batched evaluation is far cheaper
-than many adaptive point-wise calls.  This bench quantifies both claims.
+The paper integrates with SciPy's QUADPACK (adaptive Gauss–Kronrod).  Our
+default, ``integration_method="simpson"``, takes every 1-D integral that
+has a closed form analytically (:mod:`repro.integrate.moments`) and the
+rest on a vectorised Simpson grid.  This bench's regressor is ``plr``, so
+its ``"simpson"`` leg *is* the closed form: it measures sums of ``ndtr``
+and ``exp`` at the range ends and the spline knots against many adaptive
+point-wise calls, and ``integration_points`` has no effect on it.  The
+grid itself is what forest / ensemble regressors and multivariate boxes
+still use.
 """
 
 from __future__ import annotations
@@ -44,8 +49,9 @@ def ablation(store_sales, tpcds_truth):
         )
         engines[method] = engine
     write_figure(
-        "Ablation integration", "Simpson grid vs adaptive QUADPACK", rows,
-        notes="accuracies should agree to ~1e-2; Simpson should be much faster",
+        "Ablation integration", "closed form (plr) vs adaptive QUADPACK", rows,
+        notes="'simpson' on plr is the closed form; accuracies should agree "
+        "to ~1e-2 and it should be much faster",
     )
     return rows, engines
 
@@ -92,7 +98,7 @@ def test_count_identical_between_methods(benchmark, ablation):
 
 
 def test_grid_resolution_convergence(benchmark, store_sales, tpcds_truth):
-    """Doubling the Simpson grid barely moves the answers (converged)."""
+    """The grid size cannot move a ``plr`` answer: it is closed-form."""
     answers = {}
     for points in (65, 257):
         engine = make_dbest(

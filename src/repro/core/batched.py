@@ -20,12 +20,27 @@ arrays at build time so a query touches each array once:
 * **Analytic aggregates** (COUNT, the CDF legs of PERCENTILE) evaluate
   ``ndtr`` over the flat centre array once and segment-reduce with
   ``np.add.reduceat``.
-* **Grid aggregates** (SUM/AVG/VARIANCE/STDDEV) build one ``(G, m)``
-  node matrix with a single vectorised ``np.linspace``, evaluate every
-  group's reflected mixture pdf in cache-sized blocks of the CSR array,
-  and reduce moments with row-wise dot products.  The pdf rows are
-  memoised by query bounds, so SUM, AVG and VARIANCE over the same
-  ranges share one exp pass instead of re-exponentiating per aggregate.
+* **Moment aggregates** (SUM/AVG/VARIANCE/STDDEV) integrate ``f·D`` and
+  ``f²·D`` over each group's clipped range by one rule, shared with the
+  scalar :class:`~repro.core.model.ColumnSetModel`.  *Closed form*
+  (:mod:`repro.integrate.moments`): the identity integrand (``AVG(x)``,
+  ``VARIANCE/STDDEV(x)``, whatever the regressor) and the ``linear`` /
+  ``plr`` regressors are piecewise linear against a Gaussian mixture, so
+  the integrals are sums of ``ndtr`` and ``exp`` at the two range ends
+  and at the group's spline knots — and ``E[Var(y|x)]`` is the mass
+  between residual-variance edges; per query the fresh work is two
+  points per group, the moments at knots and edges being
+  query-independent and tabulated on first use.  *Simpson grid*:
+  ``forest``, ``ensemble`` and generic regressors are piecewise
+  constant on more pieces than a grid has nodes (or on unknown ones),
+  so they build one ``(G, m)`` node matrix with a single vectorised
+  ``np.linspace``, evaluate every group's reflected mixture pdf in
+  cache-sized blocks of the CSR array, and reduce moments with row-wise
+  dot products; multivariate boxes keep tensor Simpson, and
+  ``integration_method="quad"`` sets do not stack at all.  Either way
+  the pass is memoised by query bounds (end-point moments or pdf rows),
+  so SUM, AVG and VARIANCE over the same ranges share it, and SUM takes
+  its mass from the closed form's ``∫D`` instead of a second CDF pass.
 * **Regressors** stack by family: piecewise-linear / OLS coefficients
   become one hinge/affine kernel; tree boosters (``tree`` / ``gboost``
   / ``xgboost``) export flat node arrays and are traversed in lock-step
@@ -84,7 +99,11 @@ from repro.errors import (
     QueryExecutionError,
     UnsupportedQueryError,
 )
-from repro.integrate import simpson_weights
+from repro.integrate import (
+    affine_piece_integrals,
+    cumulative_moments,
+    simpson_weights,
+)
 from repro.ml.ensemble import EnsembleRegressor
 from repro.ml.kde import KernelDensityEstimator, MultivariateKDE
 from repro.obs import get_registry
@@ -153,28 +172,39 @@ class BatchedGroupEvaluator:
         self.y_column = y_column
         self._m = model_state
         self._r = raw_state
-        # Memoised (bounds -> Simpson grid + pdf rows): SUM, AVG and
-        # VARIANCE over the same ranges share one exp pass instead of
-        # re-evaluating the mixture pdf per aggregate.  Keyed by the
+        # Memoised per query bounds, so SUM, AVG and VARIANCE over the
+        # same ranges share one kernel pass: the closed-form path keeps
+        # each group's cumulative moments at the two range ends, the
+        # grid path its Simpson nodes and pdf rows.  Keyed by the
         # per-group bound arrays; bounded FIFO; dropped from pickles.
         self._grid_cache: dict = {}
         self._grid_hits = 0
         self._grid_misses = 0
+        # Query-independent closed-form state (unit-coordinate centres,
+        # piece coefficients, cumulative moments at knots and residual
+        # edges), derived on first use and never persisted: every cell
+        # is written once with the value any later computation of it
+        # would produce.
+        self._pieces: dict = {}
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_grid_cache"] = {}
         state["_grid_hits"] = 0
         state["_grid_misses"] = 0
+        state["_pieces"] = {}
         return state
 
     def grid_cache_stats(self) -> dict:
-        """Hit/miss/occupancy counters of the memoised pdf-grid cache.
+        """Hit/miss/occupancy counters of the bounds-keyed moment memo.
 
-        The serving layer's answer cache sits *above* this one: an
-        answer-cache miss that re-runs a previously-seen bounds template
-        still reuses the exp pass memoised here.  These counters let
-        benchmarks and the query server report both layers.
+        An entry holds what one kernel pass over a set of bounds
+        produced — end-point moments on the closed-form path, the pdf
+        grid on the Simpson path.  The serving layer's answer cache sits
+        *above* this one: an answer-cache miss that re-runs a
+        previously-seen bounds template still reuses the pass memoised
+        here.  These counters let benchmarks and the query server report
+        both layers.
         """
         return {
             "entries": len(self._grid_cache),
@@ -1043,8 +1073,12 @@ class BatchedGroupEvaluator:
                     f"SUM column {column!r} is not the model's dependent "
                     f"column ({self.y_column!r})"
                 )
-            count = self._count(lb, ub)
-            avg = self._avg_y(lb, ub)
+            den, num1, _num2, cache = self._moments(lb, ub, use_regressor=True)
+            # The closed form's ∫D is the mass COUNT multiplies by the
+            # population; the grid's is Simpson-accurate only.
+            count = self._count(lb, ub, den if cache["closed_form"] else None)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                avg = np.where(den <= _EMPTY_DENSITY, np.nan, num1 / den)
             vals = np.where(
                 (count <= 0.0) | np.isnan(avg), 0.0, count * avg
             )
@@ -1108,16 +1142,23 @@ class BatchedGroupEvaluator:
             raw = np.where(pm, (t >= state["pm_value"]).astype(np.float64), raw)
         return raw
 
-    def _count(self, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
-        """COUNT = population * clipped mixture mass, all groups at once."""
+    def _count(
+        self, lb: np.ndarray, ub: np.ndarray, mass: np.ndarray | None = None
+    ) -> np.ndarray:
+        """COUNT = population * clipped mixture mass, all groups at once.
+
+        ``mass`` is the per-group ``∫D`` when the caller already holds
+        it; point-mass groups keep their inclusive rule either way.
+        """
         state = self._m
         a = np.maximum(lb, state["sup_lo"])
         b = np.minimum(ub, state["sup_hi"])
         nonempty = b > a
         pm = state["pm_mask"]
         frac = np.zeros(len(state["values"]))
-        mass = np.maximum(self._cdf_at(b) - self._cdf_at(a), 0.0)
-        frac = np.where(nonempty & ~pm, mass, frac)
+        if mass is None:
+            mass = self._cdf_at(b) - self._cdf_at(a)
+        frac = np.where(nonempty & ~pm, np.maximum(mass, 0.0), frac)
         pm_hit = (
             nonempty & pm
             & (a <= state["pm_value"]) & (state["pm_value"] <= b)
@@ -1140,20 +1181,25 @@ class BatchedGroupEvaluator:
     def _moments(
         self, lb: np.ndarray, ub: np.ndarray, use_regressor: bool
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-        """(∫D, ∫fD, ∫f²D) per group over the shared Simpson grid.
+        """(∫D, ∫fD, ∫f²D) per group over its clipped range.
 
-        The per-group grids, pdf rows and scaled weights are memoised by
-        query bounds: SUM, AVG and VARIANCE over the same ranges evaluate
-        the (exp-bound) mixture pdf once and reuse it, re-running only
-        the cheap regression factor and the weighted reductions.  The
-        returned cache dict carries the same arrays so VARIANCE's
-        residual pass can reuse them within one call (the scalar path
-        recomputes them with identical values).
+        ``f`` is the regressor or, without one, the identity.  The
+        identity and the ``linear`` / ``plr`` regressors are integrated
+        in closed form from the cumulative mixture moments at the range
+        ends (memoised by query bounds) and at the group's knots
+        (query-independent, see :meth:`_piece_table`); the other
+        regressors go over the shared Simpson grid, whose per-group
+        nodes, pdf rows and scaled weights are memoised the same way.
+        Either way SUM, AVG and VARIANCE over the same ranges share one
+        kernel pass, and the returned memo entry lets VARIANCE's
+        residual pass reuse it within one call.
         """
         state = self._m
         g = len(state["values"])
-        key = (lb.tobytes(), ub.tobytes())
+        closed_form = not use_regressor or state["reg_mode"] in ("linear", "plr")
+        key = (lb.tobytes(), ub.tobytes(), closed_form)
         registry = get_registry()
+        t0 = perf_counter() if registry.enabled else 0.0
         cache = self._grid_cache.get(key)
         if cache is None:
             self._grid_misses += 1
@@ -1162,8 +1208,10 @@ class BatchedGroupEvaluator:
             a = np.maximum(lb, state["sup_lo"])
             b = np.minimum(ub, state["sup_hi"])
             active = np.flatnonzero(b > a)
-            cache = {"a": a, "b": b, "active": active}
-            if active.size:
+            cache = {"active": active, "closed_form": closed_form}
+            if active.size and closed_form:
+                cache.update(self._range_ends(active, a[active], b[active]))
+            elif active.size:
                 m = state["points"]
                 nodes = np.linspace(a[active], b[active], m, axis=1)
                 scale = (b[active] - a[active]) / (m - 1) / 3.0
@@ -1184,12 +1232,21 @@ class BatchedGroupEvaluator:
         num2 = np.zeros(g)
         if active.size == 0:
             return den, num1, num2, cache
+        if closed_form:
+            table = self._piece_table("regressor" if use_regressor else "identity")
+            den[active], num1[active], num2[active] = affine_piece_integrals(
+                self._range_pieces(table, cache),
+                table["alpha"][active],
+                table["beta"][active],
+            )
+            if registry.enabled:
+                registry.histogram("repro_kernel_moments_seconds").observe(
+                    perf_counter() - t0
+                )
+            return den, num1, num2, cache
         nodes, d, w = cache["nodes"], cache["pdf"], cache["weights"]
         t0 = perf_counter() if registry.enabled else 0.0
-        if use_regressor:
-            f = self._predict_grid(active, nodes, lb, ub)
-        else:
-            f = nodes
+        f = self._predict_grid(active, nodes, lb, ub)
         wd = w * d
         den[active] = wd.sum(axis=1)
         num1[active] = (wd * f).sum(axis=1)
@@ -1199,6 +1256,129 @@ class BatchedGroupEvaluator:
                 perf_counter() - t0
             )
         return den, num1, num2, cache
+
+    # -- closed-form machinery (repro.integrate.moments) ----------------------
+
+    def _unit_mixtures(self) -> dict:
+        """Every group's mixture in its unit-bandwidth coordinate.
+
+        ``u = (x - x0) / h`` with ``x0`` the support midpoint; ``g``
+        are the (mirrored-in) centres in that coordinate, flat over
+        ``aug_offsets``.
+        """
+        unit = self._pieces.get("unit")
+        if unit is None:
+            state = self._m
+            x0 = 0.5 * (state["sup_lo"] + state["sup_hi"])
+            unit = self._pieces["unit"] = {
+                "x0": x0,
+                "g": state["aug_centre_over_h"]
+                - np.repeat(x0 * state["inv_h"], state["aug_counts"]),
+            }
+        return unit
+
+    def _cumulative_moments(self, group: np.ndarray, t: np.ndarray) -> np.ndarray:
+        state = self._m
+        return cumulative_moments(
+            self._unit_mixtures()["g"], state["aug_weights"],
+            state["aug_offsets"], group, t,
+        )
+
+    def _range_ends(self, active: np.ndarray, a: np.ndarray, b: np.ndarray) -> dict:
+        """Cumulative moments at both clipped ends of each active group."""
+        x0 = self._unit_mixtures()["x0"][active]
+        inv_h = self._m["inv_h"][active]
+        ta, tb = (a - x0) * inv_h, (b - x0) * inv_h
+        ends = self._cumulative_moments(
+            np.repeat(active, 2), np.stack([ta, tb], axis=1).ravel()
+        )
+        return {"ta": ta, "tb": tb, "ends": ends.reshape(-1, 2, 3)}
+
+    def _piece_table(self, kind: str) -> dict:
+        """Breakpoints and per-piece coefficients of one integrand family.
+
+        ``"identity"`` (f = x, one piece), ``"regressor"`` (the stacked
+        ``linear`` / ``plr`` fits: pieces between spline knots, on which
+        ``R(u) = alpha·u + beta``) or ``"residual"`` (pieces between
+        residual-variance bin edges, on which sigma² is ``var``).
+        ``cuts`` holds each group's breakpoints in unit coordinates,
+        padded with +inf; ``moments`` the cumulative mixture moments at
+        them — query-independent, so :meth:`_range_pieces` fills each
+        cell the first time a range covers it and reads it ever after.
+        """
+        table = self._pieces.get(kind)
+        if table is not None:
+            return table
+        state = self._m
+        n_groups = len(state["values"])
+        x0 = self._unit_mixtures()["x0"]
+        offsets = np.zeros(n_groups + 1, dtype=np.int64)
+        cuts_x = np.empty(0)
+        if kind == "residual":
+            offsets, cuts_x = state["res_eoffsets"], state["res_edges"]
+            table = {}
+        elif kind == "regressor" and state["reg_mode"] == "plr":
+            plr = state["reg_plr"]
+            offsets, cuts_x = plr["koffsets"], plr["knots"]
+            hinge = plr["hinge"]
+            lift = hinge * (np.repeat(x0, np.diff(offsets)) - cuts_x)
+            zero = np.zeros((n_groups, 1))
+            c0, c1 = plr["affine"][:, 0:1], plr["affine"][:, 1:2]
+            slope = c1 + np.concatenate(
+                [zero, np.cumsum(_pad_rows(hinge, offsets, 0.0), axis=1)], axis=1
+            )
+            value = (c0 + c1 * x0[:, None]) + np.concatenate(
+                [zero, np.cumsum(_pad_rows(lift, offsets, 0.0), axis=1)], axis=1
+            )
+            table = {"alpha": state["h"][:, None] * slope, "beta": value}
+        elif kind == "regressor":
+            coef = state["reg_affine"]
+            table = {
+                "alpha": state["h"][:, None] * coef[:, 1:2],
+                "beta": coef[:, 0:1] + coef[:, 1:2] * x0[:, None],
+            }
+        else:
+            table = {"alpha": state["h"][:, None], "beta": x0[:, None]}
+        counts = np.diff(offsets)
+        table["cuts"] = _pad_rows(
+            (cuts_x - np.repeat(x0, counts)) * np.repeat(state["inv_h"], counts),
+            offsets, np.inf,
+        )
+        table["moments"] = np.full(table["cuts"].shape + (3,), np.nan)
+        if kind == "residual":
+            table["var"] = _pad_rows(
+                state["res_var"], state["res_voffsets"], 0.0,
+                width=table["cuts"].shape[1] + 1,
+            )
+        self._pieces[kind] = table
+        return table
+
+    def _range_pieces(self, table: dict, cache: dict) -> np.ndarray:
+        """``(A, pieces, 3)`` moment differences across each piece.
+
+        The active groups' clipped ranges are cut at the table's
+        breakpoints; a breakpoint outside a range collapses onto the
+        nearer end, so its pieces carry exactly zero.
+        """
+        active, ends = cache["active"], cache["ends"]
+        ta, tb = cache["ta"][:, None], cache["tb"][:, None]
+        cuts = table["cuts"][active]
+        inside = (cuts > ta) & (cuts < tb)
+        at_cuts = table["moments"][active]
+        missing = inside & np.isnan(at_cuts).any(axis=2)
+        if missing.any():
+            rows, cols = np.nonzero(missing)
+            fresh = self._cumulative_moments(active[rows], cuts[rows, cols])
+            table["moments"][active[rows], cols] = fresh
+            at_cuts[rows, cols] = fresh
+        clipped = np.where(
+            inside[:, :, None],
+            at_cuts,
+            np.where((cuts <= ta)[:, :, None], ends[:, None, 0], ends[:, None, 1]),
+        )
+        return np.diff(
+            np.concatenate([ends[:, :1], clipped, ends[:, 1:]], axis=1), axis=1
+        )
 
     def _pdf_grid(self, active: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         """Reflected mixture pdf of each active group on its node row.
@@ -1415,13 +1595,32 @@ class BatchedGroupEvaluator:
     def _expected_residual_variance(
         self, den: np.ndarray, cache: dict
     ) -> np.ndarray:
-        """E[Var(y|x)] per group, reusing the moment pass's pdf grid."""
+        """E[Var(y|x)] per group, reusing the moment pass's memo entry.
+
+        sigma²(x) is constant between residual edges, so on the
+        closed-form path the expectation is each bin's variance weighted
+        by the bin's mass; the grid path integrates it over its pdf rows.
+        """
         state = self._m
         out = state["res_global"].copy()
         active = cache["active"]
         if active.size == 0:
             return out
         edge_counts = np.diff(state["res_eoffsets"])
+        if cache["closed_form"]:
+            registry = get_registry()
+            t0 = perf_counter() if registry.enabled else 0.0
+            table = self._piece_table("residual")
+            mass = self._range_pieces(table, cache)[:, :, 0]
+            with np.errstate(invalid="ignore", divide="ignore"):
+                expected = (table["var"][active] * mass).sum(axis=1) / den[active]
+            binned = (edge_counts[active] > 0) & (den[active] > _EMPTY_DENSITY)
+            out[active] = np.where(binned, expected, out[active])
+            if registry.enabled:
+                registry.histogram("repro_kernel_moments_seconds").observe(
+                    perf_counter() - t0
+                )
+            return out
         nodes, pdf, weights = cache["nodes"], cache["pdf"], cache["weights"]
         for i, g in enumerate(active.tolist()):
             if edge_counts[g] == 0 or den[g] <= _EMPTY_DENSITY:
@@ -1877,6 +2076,18 @@ class BatchedGroupEvaluator:
             else:
                 raise ModelTrainingError(f"unsupported aggregate {func!r}")
         return dict(zip(state["values"], vals.tolist()))
+
+
+def _pad_rows(
+    values: np.ndarray, offsets: np.ndarray, fill: float, width: int | None = None
+) -> np.ndarray:
+    """CSR segments as the rows of one ``(G, width)`` array, ``fill``-padded."""
+    counts = np.diff(offsets)
+    if width is None:
+        width = int(counts.max(initial=0))
+    out = np.full((counts.shape[0], width), fill)
+    out[np.arange(width) < counts[:, None]] = values
+    return out
 
 
 def _chunk_by_budget(sizes: np.ndarray, budget: int) -> np.ndarray:

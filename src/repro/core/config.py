@@ -35,10 +35,14 @@ class DBEstConfig:
         sample size above which binned compression kicks in for both the
         1-D and the multivariate estimator.
     integration_points:
-        Simpson grid size for regression-weighted integrals (odd, >= 3).
+        Simpson grid size (odd, >= 3) for the integrals that need a
+        grid: forest / ensemble / generic regressors and multivariate
+        boxes.  1-D integrals of the identity, ``linear`` and ``plr``
+        are closed-form (:mod:`repro.integrate.moments`) and ignore it.
     integration_method:
-        ``"simpson"`` (default, vectorised fixed grid) or ``"quad"``
-        (adaptive QUADPACK, the method named by the paper) — compared in
+        ``"simpson"`` (default: closed form where one exists, else the
+        vectorised fixed grid above) or ``"quad"`` (adaptive QUADPACK
+        on every integral, the method named by the paper) — compared in
         the integration ablation bench.
     min_group_rows:
         GROUP BY groups whose *sample* has fewer rows than this are kept

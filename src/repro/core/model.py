@@ -18,7 +18,13 @@ from repro.errors import (
     ModelTrainingError,
     UnsupportedQueryError,
 )
-from repro.integrate import adaptive_quad, bisect, simpson_grid
+from repro.integrate import (
+    adaptive_quad,
+    affine_piece_integrals,
+    bisect,
+    cumulative_moments,
+    simpson_grid,
+)
 from repro.ml.ensemble import EnsembleRegressor
 from repro.ml.gbm import GradientBoostingRegressor
 from repro.ml.kde import KernelDensityEstimator, MultivariateKDE
@@ -296,8 +302,15 @@ class ColumnSetModel:
 
     # -- 1-D integral machinery ----------------------------------------------
 
-    def _fraction_1d(self, lb: float, ub: float) -> float:
-        """``∫ D(x) dx`` over the (clipped) query range."""
+    def _fraction_1d(
+        self, lb: float, ub: float, mass: float | None = None
+    ) -> float:
+        """``∫ D(x) dx`` over the (clipped) query range.
+
+        ``mass`` is that integral when the caller already holds it (the
+        closed-form ``∫D`` of :meth:`_grid_moments_1d`); a constant
+        column keeps its inclusive point-mass rule either way.
+        """
         lb, ub = self._clip_1d(lb, ub)
         if ub <= lb:
             return 0.0
@@ -305,7 +318,90 @@ class ColumnSetModel:
             return max(
                 0.0, adaptive_quad(lambda t: float(self.density.pdf(t)[0]), lb, ub)
             )
-        return max(0.0, self.density.integrate(lb, ub))
+        if mass is None or getattr(self.density, "_point_mass", None) is not None:
+            mass = self.density.integrate(lb, ub)
+        return max(0.0, mass)
+
+    def _closed_form(self, use_regressor: bool) -> bool:
+        """Whether the 1-D moment integrals are taken analytically.
+
+        The rule of :mod:`repro.integrate.moments`: a Gaussian KDE under
+        ``integration_method="simpson"``, and either the identity
+        integrand or a ``linear`` / ``plr`` regressor.
+        """
+        if (
+            self.n_dims != 1
+            or self.integration_method != "simpson"
+            or not isinstance(self.density, KernelDensityEstimator)
+        ):
+            return False
+        return not use_regressor or isinstance(
+            self.regressor, (LinearRegressor, PiecewiseLinearRegressor)
+        )
+
+    def _affine_pieces(self, x0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(knots, slope, value)`` of a ``linear`` / ``plr`` regressor.
+
+        On the p-th piece between consecutive knots
+        ``R(x) = slope[p]·(x - x0) + value[p]``.
+        """
+        state = self.regressor.export_batch_state()
+        coef = state[-1]
+        if state[0] == "linear":
+            return np.empty(0), coef[1:2], coef[:1] + coef[1:2] * x0
+        knots, hinge = state[1], coef[2:]
+        slope = coef[1] + np.concatenate(([0.0], np.cumsum(hinge)))
+        value = (coef[0] + coef[1] * x0) + np.concatenate(
+            ([0.0], np.cumsum(hinge * (x0 - knots)))
+        )
+        return knots, slope, value
+
+    def _piece_moments(
+        self, a: float, b: float, breaks: np.ndarray
+    ) -> tuple[int, np.ndarray]:
+        """Mixture moments of ``[a, b]`` cut at the ``breaks`` inside it.
+
+        Returns ``(first, d)``: ``d[k]`` is the difference of the
+        cumulative ``(M0, M1, M2)`` across the k-th piece, which lies
+        between ``breaks[first + k - 1]`` and ``breaks[first + k]``.
+        """
+        mix = self.density.export_mixture()
+        lo, hi = mix.support
+        centres, weights = mix.centres, mix.weights
+        if mix.reflect:
+            centres = np.concatenate(
+                [centres, 2.0 * lo - centres, 2.0 * hi - centres]
+            )
+            weights = np.concatenate([weights, weights, weights])
+        x0 = 0.5 * (lo + hi)
+        inv_h = 1.0 / mix.h
+        g = centres * inv_h - x0 * inv_h
+        ta, tb = (a - x0) * inv_h, (b - x0) * inv_h
+        cuts = (breaks - x0) * inv_h
+        first = int(np.searchsorted(cuts, ta, side="right"))
+        last = int(np.searchsorted(cuts, tb, side="left"))
+        t = np.concatenate(([ta], cuts[first:last], [tb]))
+        cumulative = cumulative_moments(
+            g, weights, np.asarray([0, g.shape[0]]),
+            np.zeros(t.shape[0], dtype=np.intp), t,
+        )
+        return first, np.diff(cumulative, axis=0)
+
+    def _closed_form_moments_1d(
+        self, a: float, b: float, use_regressor: bool
+    ) -> tuple[float, float, float]:
+        lo, hi = self.density.support
+        x0 = 0.5 * (lo + hi)
+        if use_regressor:
+            knots, slope, value = self._affine_pieces(x0)
+        else:
+            knots, slope, value = np.empty(0), np.ones(1), np.full(1, x0)
+        first, d = self._piece_moments(a, b, knots)
+        pieces = slice(first, first + d.shape[0])
+        den, num1, num2 = affine_piece_integrals(
+            d, self.density.h * slope[pieces], value[pieces]
+        )
+        return float(den), float(num1), float(num2)
 
     def _grid_moments_1d(
         self, lb: float, ub: float, use_regressor: bool
@@ -314,6 +410,8 @@ class ColumnSetModel:
         a, b = self._clip_1d(lb, ub)
         if b <= a:
             return 0.0, 0.0, 0.0
+        if self._closed_form(use_regressor):
+            return self._closed_form_moments_1d(a, b, use_regressor)
         m = self.integration_points
         if self.integration_method == "quad":
             pdf = lambda t: float(self.density.pdf(t)[0])  # noqa: E731
@@ -423,14 +521,23 @@ class ColumnSetModel:
     def sum_(self, ranges: dict[str, tuple[float, float]]) -> float:
         """SUM(y) = COUNT · AVG  (Equation 7), computed consistently.
 
-        COUNT uses the analytic mixture CDF; AVG the shared Simpson grid;
-        their product keeps SUM = COUNT × AVG an exact identity.
+        Where the moment integrals are closed-form (1-D ``linear`` /
+        ``plr``) COUNT's mass is the ``∫D`` AVG already divides by;
+        forest / ensemble / generic regressors and multivariate boxes
+        take COUNT from the analytic mixture CDF and AVG from the
+        Simpson grid.  Either way SUM = COUNT × AVG is an exact identity.
         """
-        count = self.count(ranges)
-        if count <= 0.0:
-            return 0.0
-        average = self.avg(ranges)
-        if np.isnan(average):
+        if self._closed_form(use_regressor=True):
+            den, num1, _ = self._moments(ranges, use_regressor=True)
+            bounds = self._normalise_ranges(ranges)[0]
+            count = self.population_size * self._fraction_1d(*bounds, mass=den)
+            average = num1 / den if den > _EMPTY_DENSITY else float("nan")
+        else:
+            count = self.count(ranges)
+            if count <= 0.0:
+                return 0.0
+            average = self.avg(ranges)
+        if count <= 0.0 or np.isnan(average):
             return 0.0
         return count * average
 
@@ -456,6 +563,12 @@ class ColumnSetModel:
         a, b = self._clip_1d(*self._normalise_ranges(ranges)[0])
         if b <= a or den <= _EMPTY_DENSITY:
             return self._residual_var_global
+        if self._closed_form(use_regressor=True):
+            # sigma^2(x) is constant between residual edges: E[Var(y|x)]
+            # is each bin's variance weighted by the bin's mass.
+            first, d = self._piece_moments(a, b, self._residual_edges)
+            bins = slice(first, first + d.shape[0])
+            return float(self._residual_var[bins] @ d[:, 0]) / den
         nodes, w = simpson_grid(a, b, self.integration_points)
         d = self.density.pdf(nodes)
         sigma2 = self.residual_variance(nodes)

@@ -5,9 +5,12 @@ by the regression model (paper §3 "Integral Evaluation").  The paper uses
 SciPy's QUADPACK wrapper; we expose that as the adaptive method and add a
 fixed Simpson grid, which is the default because the weighted integrands
 (tree-ensemble predictions) are piecewise constant and cheap to evaluate in
-a single vectorised batch.
+a single vectorised batch.  Integrands that are piecewise linear against a
+1-D Gaussian mixture need no quadrature at all: :mod:`repro.integrate.moments`
+gives them in closed form.
 """
 
+from repro.integrate.moments import affine_piece_integrals, cumulative_moments
 from repro.integrate.quadrature import (
     adaptive_quad,
     integrate_product,
@@ -19,7 +22,9 @@ from repro.integrate.roots import bisect
 
 __all__ = [
     "adaptive_quad",
+    "affine_piece_integrals",
     "bisect",
+    "cumulative_moments",
     "integrate_product",
     "simpson_grid",
     "simpson_integrate",

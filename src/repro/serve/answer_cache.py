@@ -5,10 +5,10 @@ Models are immutable once registered, so the answer to one
 up: the natural cache key is the *resolved*
 :class:`~repro.core.catalog.ModelKey` (two query shapes that resolve to
 the same superset model share an entry) plus the aggregate and the
-merged range bounds.  This sits one layer above the memoised pdf-grid
-machinery in :mod:`repro.core.batched`: a miss here that re-runs a
-previously-seen bounds template still reuses the evaluator's cached exp
-pass; a hit here skips the engine entirely.
+merged range bounds.  This sits one layer above the bounds-keyed moment
+memo in :mod:`repro.core.batched`: a miss here that re-runs a
+previously-seen bounds template still reuses the evaluator's cached
+kernel pass; a hit here skips the engine entirely.
 
 Group-by answers are dicts; the cache stores and returns *copies* so a
 caller mutating its result cannot poison later hits.

@@ -16,7 +16,8 @@ layers the missing serving loop on top of an engine:
   worker: each distinct aggregate across the batch is computed exactly
   once and fanned out to every caller's future.  Distinct aggregates of
   one batch run back-to-back on the same evaluator, sharing its
-  memoised pdf grid (one exp pass serves SUM, AVG and VARIANCE).
+  bounds-keyed moment memo (one kernel pass serves SUM, AVG and
+  VARIANCE).
 * **Answer cache** — computed answers memoise by
   ``(resolved ModelKey, aggregate, bounds)``
   (:class:`~repro.serve.answer_cache.AnswerCache`); an identical query
@@ -252,7 +253,7 @@ class QueryServer:
         self._closed = False
         self._unique = itertools.count()
         # Per-resolved-model locks: one model set's lazily built
-        # evaluator and pdf-grid cache must not be mutated from two
+        # evaluator and moment memo must not be mutated from two
         # threads; distinct model sets evaluate in parallel.
         self._model_locks: dict[ModelKey, threading.Lock] = {}
         self._locks_guard = threading.Lock()

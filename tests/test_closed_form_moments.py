@@ -1,0 +1,447 @@
+"""Closed-form moment integrals (:mod:`repro.integrate.moments`).
+
+Three bars:
+
+* **accuracy** - the moments function, and the ``∫D``, ``∫R·D``,
+  ``∫R²·D`` and ``E[Var(y|x)]`` built from it, agree to 1e-6 relative
+  with composite Simpson at 4097 nodes *per smooth piece* (the range is
+  cut at the spline knots and the residual-variance edges first, so no
+  panel straddles a kink or a jump - a 4097-node rule across a jump is
+  only O(1/4096) accurate and could not referee 1e-6);
+* **parity** - batched == scalar to 1e-9 on ranges the older fixtures
+  miss (1 %-wide, inside one spline piece, across every knot, ending
+  exactly on a knot or a residual edge, partly and wholly outside the
+  support, a point-mass group, ``split(3)`` chunks);
+* **history independence** - the same query gives the same bits from a
+  fresh evaluator, a well-used one, a ``from_mapped`` one and a
+  pickled-and-restored one.
+"""
+
+from __future__ import annotations
+
+import math
+import pickle
+
+import numpy as np
+import pytest
+
+from repro.core import DBEstConfig, GroupByModelSet
+from repro.core.batched import BatchedGroupEvaluator
+from repro.core.model import ColumnSetModel
+from repro.integrate import (
+    affine_piece_integrals,
+    cumulative_moments,
+    simpson_grid,
+)
+from repro.ml.kde import KernelDensityEstimator
+from repro.sql.ast import AggregateCall
+
+REFERENCE_NODES = 4097
+REFERENCE_RTOL = 1e-6
+
+
+# -- the kernel itself ---------------------------------------------------------
+
+
+def _two_mixtures():
+    rng = np.random.default_rng(0)
+    sizes = (37, 90)
+    g = np.concatenate([rng.normal(0.0, 6.0, n) for n in sizes])
+    w = np.concatenate([rng.dirichlet(np.ones(n)) for n in sizes])
+    return g, w, np.asarray([0, sizes[0], sum(sizes)])
+
+
+class TestCumulativeMoments:
+    def test_differences_match_simpson(self):
+        g, w, offsets = _two_mixtures()
+        group = np.asarray([0, 0, 1, 1])
+        t = np.asarray([-3.0, 4.5, -8.0, 0.25])
+        moments = cumulative_moments(g, w, offsets, group, t)
+        for k, (lo, hi) in enumerate(((-3.0, 4.5), (-8.0, 0.25))):
+            rows = slice(offsets[k], offsets[k + 1])
+            u, weights = simpson_grid(lo, hi, REFERENCE_NODES)
+            z = u[:, None] - g[rows][None, :]
+            pdf = (np.exp(-0.5 * z * z) @ w[rows]) / math.sqrt(2.0 * math.pi)
+            got = moments[2 * k + 1] - moments[2 * k]
+            for power in range(3):
+                assert got[power] == pytest.approx(
+                    weights @ (pdf * u**power), rel=REFERENCE_RTOL
+                )
+
+    def test_limits(self):
+        g, w, offsets = _two_mixtures()
+        far = cumulative_moments(
+            g, w, offsets, np.asarray([0, 0]), np.asarray([-80.0, 80.0])
+        )
+        np.testing.assert_array_equal(far[0], 0.0)
+        rows = slice(0, offsets[1])
+        assert far[1, 0] == pytest.approx(1.0, rel=1e-12)
+        assert far[1, 1] == pytest.approx(w[rows] @ g[rows], rel=1e-12)
+        assert far[1, 2] == pytest.approx(w[rows] @ (g[rows] ** 2 + 1), rel=1e-12)
+
+    def test_a_pair_has_the_same_bits_alone_or_in_any_batch(self):
+        """Memoised values can stand in for fresh ones: each pair reduces
+        over its own group's rows only, whatever else is in the call."""
+        g, w, offsets = _two_mixtures()
+        rng = np.random.default_rng(1)
+        group = rng.integers(0, 2, size=40)
+        t = rng.normal(0.0, 5.0, size=40)
+        batch = cumulative_moments(g, w, offsets, group, t)
+        for p in (0, 7, 39):
+            alone = cumulative_moments(g, w, offsets, group[p:p + 1], t[p:p + 1])
+            np.testing.assert_array_equal(alone[0], batch[p])
+        # ... and on a slice of the stacked arrays (what split() hands out).
+        second = group == 1
+        sliced = cumulative_moments(
+            g[offsets[1]:], w[offsets[1]:], offsets[1:] - offsets[1],
+            np.zeros(int(second.sum()), dtype=np.intp), t[second],
+        )
+        np.testing.assert_array_equal(sliced, batch[second])
+
+    def test_no_pairs(self):
+        g, w, offsets = _two_mixtures()
+        empty = cumulative_moments(
+            g, w, offsets, np.empty(0, dtype=np.intp), np.empty(0)
+        )
+        assert empty.shape == (0, 3)
+
+    def test_affine_piece_integrals(self):
+        d = np.asarray([[0.2, 0.1, 0.3], [0.5, -0.4, 0.9]])
+        alpha, beta = np.asarray([2.0, -1.0]), np.asarray([0.5, 3.0])
+        den, num1, num2 = affine_piece_integrals(d, alpha, beta)
+        assert den == pytest.approx(0.7)
+        assert num1 == pytest.approx(2 * 0.1 + 0.5 * 0.2 + 0.4 + 3 * 0.5)
+        assert num2 == pytest.approx(
+            (4 * 0.3 + 2 * 2 * 0.5 * 0.1 + 0.25 * 0.2)
+            + (0.9 + 2 * -1 * 3 * -0.4 + 9 * 0.5)
+        )
+
+
+# -- closed form vs the 4097-node reference --------------------------------
+
+
+def _sample(n: int = 600, seed: int = 2):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 100.0, n)
+    y = 2.0 * x + 25.0 * np.sin(x / 9.0) + rng.normal(0.0, 1.0 + x / 40.0, n)
+    return x, y
+
+
+def _scalar_model(regressor: str, density: str) -> ColumnSetModel:
+    x, y = _sample()
+    config = DBEstConfig(
+        regressor=regressor, random_seed=2,
+        # "binned": 64 weighted centres stand in for the 600 points.
+        kde_bin_threshold=100 if density == "binned" else 5000, kde_bins=64,
+    )
+    model = ColumnSetModel.train(x, y, "t", ("x",), "y", 50_000, config)
+    if density != "unreflected":
+        assert model.density.export_mixture().reflect
+        assert (model.density._centres.size == 600) == (density == "reflected")
+        return model
+    return ColumnSetModel.from_fitted_parts(
+        table_name="t", x_columns=("x",), y_column="y", population_size=50_000,
+        density=KernelDensityEstimator(boundary="none").fit(x),
+        regressor=model.regressor, x_domain=model.x_domain, n_sample=x.size,
+        config=config, residual_edges=model._residual_edges,
+        residual_var=model._residual_var,
+        residual_var_global=model._residual_var_global,
+    )
+
+
+def _reference(model: ColumnSetModel, lb: float, ub: float) -> dict:
+    """Composite Simpson, ``REFERENCE_NODES`` nodes on every smooth piece."""
+    a, b = model._clip_1d(lb, ub)
+    knots = getattr(model.regressor, "_knots", np.empty(0))
+    breaks = np.concatenate([knots, model._residual_edges])
+    cuts = np.concatenate(([a], np.sort(breaks[(breaks > a) & (breaks < b)]), [b]))
+    total = dict.fromkeys(("den", "x1", "x2", "r1", "r2", "res"), 0.0)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        nodes, weights = simpson_grid(float(lo), float(hi), REFERENCE_NODES)
+        wd = weights * model.density.pdf(nodes)
+        r = model.regressor.predict(nodes)
+        sigma2 = model.residual_variance(np.asarray([0.5 * (lo + hi)]))[0]
+        total["den"] += wd.sum()
+        total["x1"] += wd @ nodes
+        total["x2"] += wd @ (nodes * nodes)
+        total["r1"] += wd @ r
+        total["r2"] += wd @ (r * r)
+        total["res"] += sigma2 * wd.sum()
+    return total
+
+
+REFERENCE_RANGES = (
+    (-10.0, 130.0),   # the whole support: every knot, every residual edge
+    (12.5, 71.0),
+    (40.0, 41.0),     # 1 % of the domain
+    (88.0, 250.0),    # partly outside
+)
+
+
+class TestAgainstSimpsonReference:
+    @pytest.mark.parametrize("density", ["reflected", "unreflected", "binned"])
+    @pytest.mark.parametrize("regressor", ["plr", "linear"])
+    def test_integrals(self, regressor, density):
+        model = _scalar_model(regressor, density)
+        assert model._closed_form(use_regressor=True)
+        for lb, ub in REFERENCE_RANGES:
+            want = _reference(model, lb, ub)
+            den, x1, x2 = model._grid_moments_1d(lb, ub, use_regressor=False)
+            den_r, r1, r2 = model._grid_moments_1d(lb, ub, use_regressor=True)
+            residual = model._expected_residual_variance({"x": (lb, ub)}, den_r)
+            got = {
+                "den": den, "x1": x1, "x2": x2, "r1": r1, "r2": r2,
+                "res": residual * den_r,
+            }
+            assert den_r == pytest.approx(den, rel=1e-12)
+            for name, value in want.items():
+                assert got[name] == pytest.approx(value, rel=REFERENCE_RTOL), (
+                    f"{name} over [{lb}, {ub}]"
+                )
+
+    def test_mass_equals_the_analytic_cdf(self):
+        model = _scalar_model("plr", "reflected")
+        for lb, ub in REFERENCE_RANGES:
+            den, _, _ = model._grid_moments_1d(lb, ub, use_regressor=True)
+            assert den == pytest.approx(model._fraction_1d(lb, ub), rel=1e-12)
+
+    def test_which_integrands_are_closed_form(self):
+        x, y = _sample(400)
+
+        def train(**kwargs):
+            return ColumnSetModel.train(
+                x, y, "t", ("x",), "y", 1000, DBEstConfig(random_seed=1, **kwargs)
+            )
+
+        for regressor in ("plr", "linear"):
+            assert train(regressor=regressor)._closed_form(use_regressor=True)
+        tree = train(regressor="tree")
+        assert tree._closed_form(use_regressor=False)       # AVG(x), VARIANCE(x)
+        assert not tree._closed_form(use_regressor=True)
+        quad = train(regressor="plr", integration_method="quad")
+        assert not quad._closed_form(use_regressor=False)
+
+    def test_integration_points_only_matter_on_the_grid(self):
+        x, y = _sample(400)
+        ranges = {"x": (20.0, 70.0)}
+
+        def answers(regressor, points):
+            model = ColumnSetModel.train(
+                x, y, "t", ("x",), "y", 1000,
+                DBEstConfig(
+                    regressor=regressor, random_seed=1, integration_points=points
+                ),
+            )
+            return (
+                model.avg(ranges), model.sum_(ranges), model.variance_y(ranges),
+                model.avg_x(ranges), model.variance_x(ranges),
+            )
+
+        assert answers("plr", 9) == answers("plr", 257)
+        coarse, fine = answers("tree", 9), answers("tree", 257)
+        assert coarse[3:] == fine[3:]          # identity integrand: closed form
+        assert coarse[:3] != fine[:3]          # forest regressor: Simpson grid
+
+
+# -- batched == scalar on the ranges the older fixtures miss -----------------
+
+
+def assert_parity(batched: dict, scalar: dict) -> None:
+    """The bound of tests/test_batched_groupby.py::assert_parity."""
+    assert set(batched) == set(scalar)
+    for key, expected in scalar.items():
+        got = batched[key]
+        if math.isnan(expected):
+            assert math.isnan(got), f"group {key}: {got} vs nan"
+        else:
+            assert abs(got - expected) <= 1e-9 * max(1.0, abs(expected)), (
+                f"group {key}: batched {got} vs scalar {expected}"
+            )
+
+
+def same_bits(left: dict, right: dict) -> bool:
+    """``==`` on every group, NaN equal to NaN."""
+    return left.keys() == right.keys() and all(
+        left[k] == right[k] or (math.isnan(left[k]) and math.isnan(right[k]))
+        for k in left
+    )
+
+
+POINT_MASS_GROUP, POINT_MASS_X = 4, 42.0
+
+
+def make_model_set(regressor: str, seed: int = 6) -> GroupByModelSet:
+    """Seven modelled groups (one of them constant in x), unequal sizes."""
+    rng = np.random.default_rng(seed)
+    sizes = (300, 220, 400, 260, 200, 350, 280)
+    groups = np.repeat(np.arange(len(sizes)), sizes)
+    x = rng.uniform(0.0, 100.0, size=groups.shape[0])
+    x[groups == POINT_MASS_GROUP] = POINT_MASS_X
+    y = (groups + 1.0) * 0.3 * x + 10.0 * np.cos(x / 11.0) + rng.normal(
+        0.0, 1.0 + x / 50.0
+    )
+    return GroupByModelSet.train(
+        sample_x=x, sample_y=y, sample_groups=groups,
+        full_groups=groups, full_x=x, full_y=y,
+        table_name="t", x_columns=("x",), y_column="y", group_column="g",
+        config=DBEstConfig(
+            regressor=regressor, min_group_rows=30, random_seed=seed,
+            integration_points=65,
+        ),
+    )
+
+
+@pytest.fixture(scope="module", params=["plr", "linear"])
+def model_set(request) -> GroupByModelSet:
+    return make_model_set(request.param)
+
+
+def sweep_ranges(model_set: GroupByModelSet) -> dict[str, dict]:
+    model = model_set.models[0]
+    edges = model._residual_edges
+    knots = getattr(model.regressor, "_knots", edges)
+    lo, hi = model.density.support
+    return {
+        "one percent": {"x": (40.0, 41.0)},
+        "inside one piece": {
+            "x": (
+                float(0.75 * knots[2] + 0.25 * knots[3]),
+                float(0.25 * knots[2] + 0.75 * knots[3]),
+            )
+        },
+        "every knot": {"x": (float(knots[0]) - 1.0, float(knots[-1]) + 1.0)},
+        "ends on knots": {"x": (float(knots[1]), float(knots[-2]))},
+        "ends on residual edges": {"x": (float(edges[0]), float(edges[-1]))},
+        "ends on the support": {"x": (lo, hi)},
+        "partly below": {"x": (-20.0, 30.0)},
+        "partly above": {"x": (80.0, 150.0)},
+        "wholly below": {"x": (-50.0, -10.0)},
+        "wholly above": {"x": (200.0, 300.0)},
+        "ends on the point mass": {"x": (10.0, POINT_MASS_X)},
+        "open": {},
+    }
+
+
+CALLS = (
+    ("SUM", "y"), ("AVG", "y"), ("VARIANCE", "y"), ("STDDEV", "y"),
+    ("AVG", "x"), ("VARIANCE", "x"),
+)
+
+
+class TestBatchedScalarParity:
+    @pytest.mark.parametrize("call", CALLS, ids=lambda c: f"{c[0]}({c[1]})")
+    def test_sweep(self, model_set, call):
+        aggregate = AggregateCall(*call)
+        for name, ranges in sweep_ranges(model_set).items():
+            batched = model_set.answer(aggregate, ranges, batched=True)
+            scalar = model_set.answer(aggregate, ranges, batched=False)
+            try:
+                assert_parity(batched, scalar)
+            except AssertionError as exc:
+                raise AssertionError(f"range {name!r}: {exc}") from None
+
+    def test_outside_the_support_is_nan_or_zero(self, model_set):
+        for name in ("wholly below", "wholly above"):
+            ranges = sweep_ranges(model_set)[name]
+            for batched in (True, False):
+                for func, column in CALLS:
+                    answers = model_set.answer(
+                        AggregateCall(func, column), ranges, batched=batched
+                    )
+                    for value in answers.values():
+                        if func == "SUM":
+                            assert value == 0.0
+                        else:
+                            assert math.isnan(value)
+
+    def test_point_mass_group_keeps_its_inclusive_count(self, model_set):
+        """BETWEEN is inclusive: a range ending on the constant x value
+        holds the whole group, so SUM = population x AVG - the closed
+        form's own mass there would be one half."""
+        ranges = {"x": (10.0, POINT_MASS_X)}
+        for batched in (True, False):
+            def answer(func, column, batched=batched):
+                return model_set.answer(
+                    AggregateCall(func, column), ranges, batched=batched
+                )[POINT_MASS_GROUP]
+
+            assert answer("COUNT", "y") == model_set.models[
+                POINT_MASS_GROUP
+            ].population_size
+            assert answer("SUM", "y") == pytest.approx(
+                answer("COUNT", "y") * answer("AVG", "y"), rel=1e-12
+            )
+
+    def test_sum_is_count_times_avg(self, model_set):
+        ranges = {"x": (12.0, 57.0)}
+        count = model_set.answer(AggregateCall("COUNT", "y"), ranges)
+        avg = model_set.answer(AggregateCall("AVG", "y"), ranges)
+        total = model_set.answer(AggregateCall("SUM", "y"), ranges)
+        for key in total:
+            assert total[key] == pytest.approx(count[key] * avg[key], rel=1e-12)
+
+    def test_split_chunks_give_the_same_bits(self, model_set):
+        evaluator = model_set.batched_evaluator()
+        for call in CALLS:
+            for ranges in sweep_ranges(model_set).values():
+                whole = evaluator.answer(AggregateCall(*call), ranges)
+                chunked: dict = {}
+                for part in evaluator.split(3):
+                    chunked.update(part.answer(AggregateCall(*call), ranges))
+                assert same_bits(whole, chunked)
+
+
+# -- history independence ------------------------------------------------------
+
+
+class TestHistoryIndependence:
+    QUERY = {"x": (23.0, 67.5)}
+
+    def _answers(self, evaluator) -> list[dict]:
+        return [
+            evaluator.answer(AggregateCall(*call), self.QUERY) for call in CALLS
+        ]
+
+    def test_same_bits_whatever_was_asked_before(self, model_set):
+        fresh = self._answers(BatchedGroupEvaluator.build(model_set))
+
+        used = BatchedGroupEvaluator.build(model_set)
+        rng = np.random.default_rng(8)
+        for lb, width in zip(rng.uniform(-10, 90, 50), rng.uniform(0.5, 60, 50)):
+            call = CALLS[int(rng.integers(len(CALLS)))]
+            used.answer(AggregateCall(*call), {"x": (float(lb), float(lb + width))})
+        assert used.grid_cache_stats()["entries"] == used._GRID_CACHE_MAX
+
+        mapped = BatchedGroupEvaluator.from_mapped(
+            *BatchedGroupEvaluator.build(model_set).export_mapped_state()
+        )
+        warm = BatchedGroupEvaluator.build(model_set)
+        self._answers(warm)
+        restored = pickle.loads(pickle.dumps(warm))
+        assert restored.grid_cache_stats() == {"entries": 0, "hits": 0, "misses": 0}
+        assert restored._pieces == {}
+
+        for other in (used, mapped, restored):
+            for want, got in zip(fresh, self._answers(other)):
+                assert same_bits(want, got)
+
+    def test_memoised_equals_fresh(self, model_set):
+        evaluator = BatchedGroupEvaluator.build(model_set)
+        first = self._answers(evaluator)
+        before = evaluator.grid_cache_stats()
+        again = self._answers(evaluator)
+        after = evaluator.grid_cache_stats()
+        assert after["misses"] == before["misses"]
+        assert after["hits"] == before["hits"] + len(CALLS)
+        for want, got in zip(first, again):
+            assert same_bits(want, got)
+
+    def test_derived_tables_are_not_persisted(self, model_set):
+        evaluator = BatchedGroupEvaluator.build(model_set)
+        _, before = evaluator.export_mapped_state()
+        self._answers(evaluator)
+        _, after = evaluator.export_mapped_state()
+        assert before.keys() == after.keys()
+        assert len(pickle.dumps(evaluator)) == len(
+            pickle.dumps(BatchedGroupEvaluator.build(model_set))
+        )

@@ -447,11 +447,15 @@ class TestServingObservability:
         assert server.stats()["plan_cache"]["hits"] != -1
 
     #: What one served GROUP BY query costs with metrics + tracing on,
-    #: as (instrument operations = lookups + writes, spans), counted at
-    #: PR 22.  Budgets, not targets: lower passes, raising one needs a
-    #: reason.  With metrics off every call site branches on
+    #: as (instrument operations = lookups + writes, spans).  A miss on
+    #: this ``plr`` fixture is 7 lookups + 7 writes: grid-cache miss,
+    #: closed-form moments seconds, answer seconds, groups total, batch
+    #: seconds, batch requests, query seconds (the three pdf instruments
+    #: and the Simpson timer belong to the grid path, which ``plr`` no
+    #: longer takes).  Budgets, not targets: lower passes, raising one
+    #: needs a reason.  With metrics off every call site branches on
     #: ``registry.enabled`` first, so a pass makes no lookup at all.
-    MISS_BUDGET = (20, 6)
+    MISS_BUDGET = (14, 6)
     HIT_BUDGET = (6, 3)
     DISABLED_LOOKUPS = 0
 

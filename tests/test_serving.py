@@ -565,7 +565,11 @@ class TestQueryServer:
 
 
 class TestGridCacheStats:
-    def test_served_aggregates_share_pdf_grids(self, served_engine):
+    def test_served_aggregates_share_one_kernel_pass(self, served_engine):
+        """SUM, AVG and VARIANCE over one range run the mixture kernel
+        once: the first computes each group's cumulative moments at the
+        two range ends (this ``plr`` set integrates in closed form) and
+        memoises them by bounds, the others read that entry."""
         model_set = served_engine.catalog.get(
             ModelKey.make("traffic", ("x",), "y", "g")
         )
@@ -576,6 +580,6 @@ class TestGridCacheStats:
         for func in ("SUM", "AVG", "VARIANCE"):
             model_set.answer(AggregateCall(func, "y"), ranges)
         after = evaluator.grid_cache_stats()
-        # One exp pass, shared: a single miss, the rest hits.
+        # One kernel pass, shared: a single miss, the rest hits.
         assert after["misses"] == before["misses"] + 1
         assert after["hits"] > before["hits"]
