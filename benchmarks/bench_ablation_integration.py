@@ -1,14 +1,14 @@
 """Ablation: integration method — ``"simpson"`` vs adaptive QUADPACK.
 
 The paper integrates with SciPy's QUADPACK (adaptive Gauss–Kronrod).  Our
-default, ``integration_method="simpson"``, takes every 1-D integral that
-has a closed form analytically (:mod:`repro.integrate.moments`) and the
-rest on a vectorised Simpson grid.  This bench's regressor is ``plr``, so
-its ``"simpson"`` leg *is* the closed form: it measures sums of ``ndtr``
-and ``exp`` at the range ends and the spline knots against many adaptive
-point-wise calls, and ``integration_points`` has no effect on it.  The
-grid itself is what forest / ensemble regressors and multivariate boxes
-still use.
+default, ``integration_method="simpson"``, takes every 1-D integral
+analytically (:mod:`repro.integrate.moments`): each regressor the engine
+builds is piecewise linear or constant, so its ``"simpson"`` leg *is* the
+closed form - sums of ``ndtr`` and ``exp`` at the range ends and the
+breakpoints (spline knots here, ``plr``; split thresholds for forests
+and ensembles) against many adaptive point-wise calls, with
+``integration_points`` having no effect.  The vectorised Simpson grid
+is left to multivariate boxes and regressors that export no pieces.
 """
 
 from __future__ import annotations

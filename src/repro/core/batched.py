@@ -21,34 +21,25 @@ arrays at build time so a query touches each array once:
   ``ndtr`` over the flat centre array once and segment-reduce with
   ``np.add.reduceat``.
 * **Moment aggregates** (SUM/AVG/VARIANCE/STDDEV) integrate ``f·D`` and
-  ``f²·D`` over each group's clipped range by one rule, shared with the
-  scalar :class:`~repro.core.model.ColumnSetModel`.  *Closed form*
-  (:mod:`repro.integrate.moments`): the identity integrand (``AVG(x)``,
-  ``VARIANCE/STDDEV(x)``, whatever the regressor) and the ``linear`` /
-  ``plr`` regressors are piecewise linear against a Gaussian mixture, so
-  the integrals are sums of ``ndtr`` and ``exp`` at the two range ends
-  and at the group's spline knots — and ``E[Var(y|x)]`` is the mass
-  between residual-variance edges; per query the fresh work is two
-  points per group, the moments at knots and edges being
-  query-independent and tabulated on first use.  *Simpson grid*:
-  ``forest``, ``ensemble`` and generic regressors are piecewise
-  constant on more pieces than a grid has nodes (or on unknown ones),
-  so they build one ``(G, m)`` node matrix with a single vectorised
-  ``np.linspace``, evaluate every group's reflected mixture pdf in
-  cache-sized blocks of the CSR array, and reduce moments with row-wise
-  dot products; multivariate boxes keep tensor Simpson, and
-  ``integration_method="quad"`` sets do not stack at all.  Either way
-  the pass is memoised by query bounds (end-point moments or pdf rows),
-  so SUM, AVG and VARIANCE over the same ranges share it, and SUM takes
-  its mass from the closed form's ``∫D`` instead of a second CDF pass.
-* **Regressors** stack by family: piecewise-linear / OLS coefficients
-  become one hinge/affine kernel; tree boosters (``tree`` / ``gboost``
-  / ``xgboost``) export flat node arrays and are traversed in lock-step
-  across all groups; ``ensemble`` regressors keep per-group constituent
-  *selection* (each group's own range classifier) but evaluate every
-  group that selected the same constituent through the corresponding
-  stacked pass.  Truly exotic regressors fall back to a per-group
-  predict loop while the density work stays batched.
+  ``f²·D`` over each group's clipped range in closed form
+  (:mod:`repro.integrate.moments`), by the rule the scalar
+  :class:`~repro.core.model.ColumnSetModel` shares: ``f`` is the
+  identity or the group's regressor, piecewise linear against a
+  Gaussian mixture, so the integrals are sums of ``ndtr`` and ``exp`` at
+  the two range ends and the breakpoints inside — and ``E[Var(y|x)]`` is
+  the mass between residual-variance edges.  Per query the fresh work is
+  two points per group, memoised by query bounds so SUM, AVG and
+  VARIANCE over the same ranges share it (SUM takes its mass from the
+  same ``∫D``); the moments at the breakpoints are query-independent and
+  tabulated on first use.  Multivariate boxes keep tensor Simpson.
+* **Regressors** stack by family into per-group pieces: ``linear`` is
+  one affine piece, ``plr`` affine between its knots, and the tree
+  boosters (``tree`` / ``gboost`` / ``xgboost``) export flat node arrays
+  whose distinct split thresholds cut constant pieces, valued once by a
+  lock-step traversal across all groups; ``ensemble`` regressors keep
+  per-group constituent *selection* (each group's own range classifier)
+  and integrate every group against the pieces of the constituent it
+  selected.
 * **Raw groups** are concatenated row-wise and answered with one masked
   segmented reduction per aggregate.
 * **PERCENTILE** runs all groups' bisections in lock-step: each
@@ -72,10 +63,11 @@ returns None — and ``GroupByModelSet.answer`` keeps the per-group loop —
 only when the set is genuinely not stackable:
 ``integration_method="quad"``, non-uniform integration grids, a density
 that is not a fitted :class:`~repro.ml.kde.KernelDensityEstimator` /
-:class:`~repro.ml.kde.MultivariateKDE`, mixed presence of regressors, or
-an empty raw group.  The scalar loop also remains the parity oracle in
-the test suite, and can be forced with ``answer(..., batched=False)`` or
-``DBEstConfig(batched_groupby=False)``.
+:class:`~repro.ml.kde.MultivariateKDE`, mixed presence of regressors, 1-D
+regressors that export no pieces (the scalar loop keeps its Simpson grid
+for those), or an empty raw group.  The scalar loop also remains the
+parity oracle in the test suite, and can be forced with
+``answer(..., batched=False)`` or ``DBEstConfig(batched_groupby=False)``.
 
 Parity: batched answers match the scalar loop to ~1e-12 relative (the
 test suite asserts 1e-9); differences come only from floating-point
@@ -102,6 +94,7 @@ from repro.errors import (
 from repro.integrate import (
     affine_piece_integrals,
     cumulative_moments,
+    ordered_sum,
     simpson_weights,
 )
 from repro.ml.ensemble import EnsembleRegressor
@@ -173,18 +166,18 @@ class BatchedGroupEvaluator:
         self._m = model_state
         self._r = raw_state
         # Memoised per query bounds, so SUM, AVG and VARIANCE over the
-        # same ranges share one kernel pass: the closed-form path keeps
-        # each group's cumulative moments at the two range ends, the
-        # grid path its Simpson nodes and pdf rows.  Keyed by the
+        # same ranges share one kernel pass: 1-D sets keep each group's
+        # cumulative moments at the two range ends, multivariate sets
+        # their tensor-Simpson points and pdf rows.  Keyed by the
         # per-group bound arrays; bounded FIFO; dropped from pickles.
         self._grid_cache: dict = {}
         self._grid_hits = 0
         self._grid_misses = 0
         # Query-independent closed-form state (unit-coordinate centres,
-        # piece coefficients, cumulative moments at knots and residual
-        # edges), derived on first use and never persisted: every cell
-        # is written once with the value any later computation of it
-        # would produce.
+        # piece coefficients, cumulative moments at knots, split
+        # thresholds and residual edges), derived on first use and never
+        # persisted: every cell is written once with the value any later
+        # computation of it would produce.
         self._pieces: dict = {}
 
     def __getstate__(self) -> dict:
@@ -199,9 +192,9 @@ class BatchedGroupEvaluator:
         """Hit/miss/occupancy counters of the bounds-keyed moment memo.
 
         An entry holds what one kernel pass over a set of bounds
-        produced — end-point moments on the closed-form path, the pdf
-        grid on the Simpson path.  The serving layer's answer cache sits
-        *above* this one: an answer-cache miss that re-runs a
+        produced — end-point moments for a 1-D set, the tensor-Simpson
+        pdf grid for a multivariate one.  The serving layer's answer
+        cache sits *above* this one: an answer-cache miss that re-runs a
         previously-seen bounds template still reuses the pass memoised
         here.  These counters let benchmarks and the query server report
         both layers.
@@ -450,8 +443,6 @@ class BatchedGroupEvaluator:
             state["reg_forest"] = cls._stack_forest(
                 [forest_export(st, i) for st, i in src]
             )
-        elif mode == "generic":
-            state["reg_objects"] = [st["reg_objects"][i] for st, i in src]
         # Derived arrays merge like the primary fields (both sides were
         # built by _derive_model_arrays, whose outputs are per-group
         # segments/scalars) — re-deriving would walk every group again,
@@ -551,11 +542,10 @@ class BatchedGroupEvaluator:
         state["inv_h_rep"] = np.repeat(inv_h, counts)
         # Boundary reflection folded into the mixture: mirroring kernels
         # at the support edges equals adding mirrored centres 2*lo - c and
-        # 2*hi - c with the same weights.  The pdf pass then needs exactly
-        # one kernel term per (centre, node) pair instead of three
-        # per-term matrices; groups without reflection keep their plain
-        # centres.  (The analytic CDF keeps the original centres — the
-        # scalar path's four-C formula is replicated exactly.)
+        # 2*hi - c with the same weights, so the moment kernel sees one
+        # plain mixture per group; groups without reflection keep their
+        # plain centres.  (The analytic CDF keeps the original centres —
+        # the scalar path's four-C formula is replicated exactly.)
         aug_centres, aug_weights, aug_counts = [], [], []
         offsets = state["coffsets"]
         reflect = state["reflect"]
@@ -578,8 +568,7 @@ class BatchedGroupEvaluator:
         state["aug_counts"] = aug_counts
         state["aug_offsets"] = np.concatenate(([0], np.cumsum(aug_counts)))
         inv_h_aug = np.repeat(inv_h, aug_counts)
-        # Scaled centres: z = x * inv_h - centre_over_h avoids a division
-        # per (centre, node) pair in the pdf blocks.
+        # Centres in bandwidth units (see _unit_mixtures).
         state["aug_centre_over_h"] = np.concatenate(aug_centres) * inv_h_aug
         state["aug_weights"] = np.concatenate(aug_weights)
 
@@ -727,15 +716,14 @@ class BatchedGroupEvaluator:
         elif all(isinstance(reg, EnsembleRegressor) for reg in regressors):
             ensemble_state = cls._stack_ensembles(regressors)
             if ensemble_state is None:
-                state["reg_mode"] = "generic"
-                state["reg_objects"] = list(regressors)
-            else:
-                state["reg_mode"] = "ensemble"
-                state["reg_ens"] = ensemble_state
-                state["reg_objects"] = list(regressors)
-        else:
-            state["reg_mode"] = "generic"
+                return False
+            state["reg_mode"] = "ensemble"
+            state["reg_ens"] = ensemble_state
             state["reg_objects"] = list(regressors)
+        else:
+            # No pieces to integrate in closed form: the scalar loop
+            # answers the set (and keeps its Simpson grid for them).
+            return False
         return True
 
     @staticmethod
@@ -923,8 +911,6 @@ class BatchedGroupEvaluator:
                     },
                 }
                 part["reg_objects"] = state["reg_objects"][g0:g1]
-            elif state["reg_mode"] == "generic":
-                part["reg_objects"] = state["reg_objects"][g0:g1]
             # Slice the derived expansions instead of re-deriving them:
             # bit-identical (plain contiguous slices) and, on a mapped
             # state, the parts stay zero-copy views of the same pages.
@@ -1073,10 +1059,10 @@ class BatchedGroupEvaluator:
                     f"SUM column {column!r} is not the model's dependent "
                     f"column ({self.y_column!r})"
                 )
-            den, num1, _num2, cache = self._moments(lb, ub, use_regressor=True)
+            den, num1, _num2, _cache = self._moments(lb, ub, use_regressor=True)
             # The closed form's ∫D is the mass COUNT multiplies by the
-            # population; the grid's is Simpson-accurate only.
-            count = self._count(lb, ub, den if cache["closed_form"] else None)
+            # population.
+            count = self._count(lb, ub, den)
             with np.errstate(invalid="ignore", divide="ignore"):
                 avg = np.where(den <= _EMPTY_DENSITY, np.nan, num1 / den)
             vals = np.where(
@@ -1166,7 +1152,7 @@ class BatchedGroupEvaluator:
         frac = np.where(pm_hit, 1.0, frac)
         return state["population"] * frac
 
-    # -- grid-moment machinery ----------------------------------------------
+    # -- moment machinery ---------------------------------------------------
 
     _GRID_CACHE_MAX = 8
     # Element budget for the multivariate grid machinery: one nd entry
@@ -1181,23 +1167,20 @@ class BatchedGroupEvaluator:
     def _moments(
         self, lb: np.ndarray, ub: np.ndarray, use_regressor: bool
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-        """(∫D, ∫fD, ∫f²D) per group over its clipped range.
+        """(∫D, ∫fD, ∫f²D) per group over its clipped range, closed form.
 
         ``f`` is the regressor or, without one, the identity.  The
-        identity and the ``linear`` / ``plr`` regressors are integrated
-        in closed form from the cumulative mixture moments at the range
-        ends (memoised by query bounds) and at the group's knots
-        (query-independent, see :meth:`_piece_table`); the other
-        regressors go over the shared Simpson grid, whose per-group
-        nodes, pdf rows and scaled weights are memoised the same way.
-        Either way SUM, AVG and VARIANCE over the same ranges share one
-        kernel pass, and the returned memo entry lets VARIANCE's
-        residual pass reuse it within one call.
+        integrals come from the cumulative mixture moments at the range
+        ends (memoised by query bounds, so SUM, AVG and VARIANCE over
+        the same ranges share one kernel pass) and at the breakpoints of
+        the group's pieces (query-independent, see :meth:`_piece_table`).
+        An ensemble group uses the pieces of the constituent its own
+        ``select(lb, ub)`` picks.  The returned memo entry lets
+        VARIANCE's residual pass reuse the end points within one call.
         """
         state = self._m
         g = len(state["values"])
-        closed_form = not use_regressor or state["reg_mode"] in ("linear", "plr")
-        key = (lb.tobytes(), ub.tobytes(), closed_form)
+        key = (lb.tobytes(), ub.tobytes())
         registry = get_registry()
         t0 = perf_counter() if registry.enabled else 0.0
         cache = self._grid_cache.get(key)
@@ -1208,18 +1191,9 @@ class BatchedGroupEvaluator:
             a = np.maximum(lb, state["sup_lo"])
             b = np.minimum(ub, state["sup_hi"])
             active = np.flatnonzero(b > a)
-            cache = {"active": active, "closed_form": closed_form}
-            if active.size and closed_form:
+            cache = {"active": active}
+            if active.size:
                 cache.update(self._range_ends(active, a[active], b[active]))
-            elif active.size:
-                m = state["points"]
-                nodes = np.linspace(a[active], b[active], m, axis=1)
-                scale = (b[active] - a[active]) / (m - 1) / 3.0
-                cache.update(
-                    nodes=nodes,
-                    pdf=self._pdf_grid(active, nodes),
-                    weights=simpson_weights(m)[None, :] * scale[:, None],
-                )
             self._evict_grid_entries()
             self._grid_cache[key] = cache
         else:
@@ -1232,27 +1206,36 @@ class BatchedGroupEvaluator:
         num2 = np.zeros(g)
         if active.size == 0:
             return den, num1, num2, cache
-        if closed_form:
-            table = self._piece_table("regressor" if use_regressor else "identity")
-            den[active], num1[active], num2[active] = affine_piece_integrals(
-                self._range_pieces(table, cache),
-                table["alpha"][active],
-                table["beta"][active],
+        mode = state["reg_mode"]
+        if not use_regressor:
+            parts = [("identity", None, slice(None))]
+        elif mode == "none":
+            raise UnsupportedQueryError(
+                f"model on {self.x_columns} has no regression model; "
+                "regression-based aggregates need a y column"
             )
-            if registry.enabled:
-                registry.histogram("repro_kernel_moments_seconds").observe(
-                    perf_counter() - t0
-                )
-            return den, num1, num2, cache
-        nodes, d, w = cache["nodes"], cache["pdf"], cache["weights"]
-        t0 = perf_counter() if registry.enabled else 0.0
-        f = self._predict_grid(active, nodes, lb, ub)
-        wd = w * d
-        den[active] = wd.sum(axis=1)
-        num1[active] = (wd * f).sum(axis=1)
-        num2[active] = (wd * f * f).sum(axis=1)
+        elif mode == "ensemble":
+            objects = state["reg_objects"]
+            names = np.asarray([
+                objects[i].select(float(lb[i]), float(ub[i]))
+                for i in active.tolist()
+            ])
+            parts = [
+                ("regressor", name, np.flatnonzero(names == name))
+                for name in np.unique(names).tolist()
+            ]
+        else:
+            parts = [("regressor", None, slice(None))]
+        for kind, name, rows in parts:
+            table = self._piece_table(kind, name)
+            sub = active[rows]
+            den[sub], num1[sub], num2[sub] = affine_piece_integrals(
+                self._range_pieces(table, cache, rows),
+                table["alpha"][sub],
+                table["beta"][sub],
+            )
         if registry.enabled:
-            registry.histogram("repro_kernel_simpson_seconds").observe(
+            registry.histogram("repro_kernel_moments_seconds").observe(
                 perf_counter() - t0
             )
         return den, num1, num2, cache
@@ -1294,19 +1277,20 @@ class BatchedGroupEvaluator:
         )
         return {"ta": ta, "tb": tb, "ends": ends.reshape(-1, 2, 3)}
 
-    def _piece_table(self, kind: str) -> dict:
+    def _piece_table(self, kind: str, name: str | None = None) -> dict:
         """Breakpoints and per-piece coefficients of one integrand family.
 
         ``"identity"`` (f = x, one piece), ``"regressor"`` (the stacked
-        ``linear`` / ``plr`` fits: pieces between spline knots, on which
-        ``R(u) = alpha·u + beta``) or ``"residual"`` (pieces between
-        residual-variance bin edges, on which sigma² is ``var``).
-        ``cuts`` holds each group's breakpoints in unit coordinates,
-        padded with +inf; ``moments`` the cumulative mixture moments at
-        them — query-independent, so :meth:`_range_pieces` fills each
-        cell the first time a range covers it and reads it ever after.
+        regressor, or with ``name`` that ensemble constituent: pieces on
+        which ``R(u) = alpha·u + beta``, see :meth:`_regressor_pieces`)
+        or ``"residual"`` (pieces between residual-variance bin edges,
+        on which sigma² is ``var``).  ``cuts`` holds each group's
+        breakpoints in unit coordinates, padded with +inf; ``moments``
+        the cumulative mixture moments at them — query-independent, so
+        :meth:`_range_pieces` fills each cell the first time a range
+        covers it and reads it ever after.
         """
-        table = self._pieces.get(kind)
+        table = self._pieces.get((kind, name))
         if table is not None:
             return table
         state = self._m
@@ -1317,26 +1301,14 @@ class BatchedGroupEvaluator:
         if kind == "residual":
             offsets, cuts_x = state["res_eoffsets"], state["res_edges"]
             table = {}
-        elif kind == "regressor" and state["reg_mode"] == "plr":
-            plr = state["reg_plr"]
-            offsets, cuts_x = plr["koffsets"], plr["knots"]
-            hinge = plr["hinge"]
-            lift = hinge * (np.repeat(x0, np.diff(offsets)) - cuts_x)
-            zero = np.zeros((n_groups, 1))
-            c0, c1 = plr["affine"][:, 0:1], plr["affine"][:, 1:2]
-            slope = c1 + np.concatenate(
-                [zero, np.cumsum(_pad_rows(hinge, offsets, 0.0), axis=1)], axis=1
-            )
-            value = (c0 + c1 * x0[:, None]) + np.concatenate(
-                [zero, np.cumsum(_pad_rows(lift, offsets, 0.0), axis=1)], axis=1
-            )
-            table = {"alpha": state["h"][:, None] * slope, "beta": value}
+        elif kind == "regressor" and name is not None:
+            ens = state["reg_ens"]
+            mode = "plr" if name in ens["plr"] else "forest"
+            offsets, cuts_x, table = self._regressor_pieces(mode, ens[mode][name])
         elif kind == "regressor":
-            coef = state["reg_affine"]
-            table = {
-                "alpha": state["h"][:, None] * coef[:, 1:2],
-                "beta": coef[:, 0:1] + coef[:, 1:2] * x0[:, None],
-            }
+            mode = state["reg_mode"]
+            source = state["reg_affine" if mode == "linear" else f"reg_{mode}"]
+            offsets, cuts_x, table = self._regressor_pieces(mode, source)
         else:
             table = {"alpha": state["h"][:, None], "beta": x0[:, None]}
         counts = np.diff(offsets)
@@ -1350,27 +1322,82 @@ class BatchedGroupEvaluator:
                 state["res_var"], state["res_voffsets"], 0.0,
                 width=table["cuts"].shape[1] + 1,
             )
-        self._pieces[kind] = table
+        self._pieces[(kind, name)] = table
         return table
 
-    def _range_pieces(self, table: dict, cache: dict) -> np.ndarray:
+    def _regressor_pieces(self, mode: str, source) -> tuple:
+        """``(offsets, breakpoints, {"alpha", "beta"})`` of stacked fits.
+
+        ``linear`` is one affine piece; ``plr`` is affine between its
+        knots; a ``forest`` (``tree`` / ``gboost`` / ``xgboost``) is
+        constant between its sorted distinct split thresholds, the piece
+        ``(t[k-1], t[k]]`` taking the value at ``t[k]`` (``x <= t`` goes
+        left) and the last piece the value at +inf — tabulated once by
+        :meth:`_forest_predict` on rows padded with +inf.
+        """
+        state = self._m
+        n_groups = len(state["values"])
+        x0 = self._unit_mixtures()["x0"]
+        h = state["h"][:, None]
+        if mode == "linear":
+            return np.zeros(n_groups + 1, dtype=np.int64), np.empty(0), {
+                "alpha": h * source[:, 1:2],
+                "beta": source[:, 0:1] + source[:, 1:2] * x0[:, None],
+            }
+        if mode == "plr":
+            offsets, knots, hinge = source["koffsets"], source["knots"], source["hinge"]
+            lift = hinge * (np.repeat(x0, np.diff(offsets)) - knots)
+            zero = np.zeros((n_groups, 1))
+            c0, c1 = source["affine"][:, 0:1], source["affine"][:, 1:2]
+            slope = c1 + np.concatenate(
+                [zero, np.cumsum(_pad_rows(hinge, offsets, 0.0), axis=1)], axis=1
+            )
+            value = (c0 + c1 * x0[:, None]) + np.concatenate(
+                [zero, np.cumsum(_pad_rows(lift, offsets, 0.0), axis=1)], axis=1
+            )
+            return offsets, knots, {"alpha": h * slope, "beta": value}
+        toffsets, gtoffsets = source["toffsets"], source["gtoffsets"]
+        node_group = np.repeat(np.arange(n_groups), np.diff(toffsets[gtoffsets]))
+        internal = source["feature"] >= 0
+        group, cut = node_group[internal], source["threshold"][internal]
+        order = np.lexsort((cut, group))
+        group, cut = group[order], cut[order]
+        distinct = np.ones(group.shape[0], dtype=bool)
+        distinct[1:] = (group[1:] != group[:-1]) | (cut[1:] != cut[:-1])
+        group, cut = group[distinct], cut[distinct]
+        counts = np.bincount(group, minlength=n_groups)
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        points = _pad_rows(cut, offsets, np.inf, width=int(counts.max(initial=0)) + 1)
+        value = np.empty_like(points)
+        # Groups go through the traversal in runs of ~1M (tree, point)
+        # pairs, which bounds its temporaries.
+        pairs = np.diff(gtoffsets) * points.shape[1]
+        chunks = _chunk_by_budget(pairs, 1 << 20)
+        for g0, g1 in zip(chunks[:-1].tolist(), chunks[1:].tolist()):
+            value[g0:g1] = self._forest_predict(
+                source, np.arange(g0, g1), points[g0:g1]
+            )
+        return offsets, cut, {"alpha": np.zeros_like(value), "beta": value}
+
+    def _range_pieces(self, table: dict, cache: dict, rows) -> np.ndarray:
         """``(A, pieces, 3)`` moment differences across each piece.
 
-        The active groups' clipped ranges are cut at the table's
-        breakpoints; a breakpoint outside a range collapses onto the
-        nearer end, so its pieces carry exactly zero.
+        ``rows`` picks the active groups (positions in the memo entry)
+        whose clipped ranges are cut at the table's breakpoints; a
+        breakpoint outside a range collapses onto the nearer end, so its
+        pieces carry exactly zero.
         """
-        active, ends = cache["active"], cache["ends"]
-        ta, tb = cache["ta"][:, None], cache["tb"][:, None]
+        active, ends = cache["active"][rows], cache["ends"][rows]
+        ta, tb = cache["ta"][rows][:, None], cache["tb"][rows][:, None]
         cuts = table["cuts"][active]
         inside = (cuts > ta) & (cuts < tb)
         at_cuts = table["moments"][active]
         missing = inside & np.isnan(at_cuts).any(axis=2)
         if missing.any():
-            rows, cols = np.nonzero(missing)
-            fresh = self._cumulative_moments(active[rows], cuts[rows, cols])
-            table["moments"][active[rows], cols] = fresh
-            at_cuts[rows, cols] = fresh
+            hit, col = np.nonzero(missing)
+            fresh = self._cumulative_moments(active[hit], cuts[hit, col])
+            table["moments"][active[hit], col] = fresh
+            at_cuts[hit, col] = fresh
         clipped = np.where(
             inside[:, :, None],
             at_cuts,
@@ -1379,110 +1406,6 @@ class BatchedGroupEvaluator:
         return np.diff(
             np.concatenate([ends[:, :1], clipped, ends[:, 1:]], axis=1), axis=1
         )
-
-    def _pdf_grid(self, active: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-        """Reflected mixture pdf of each active group on its node row.
-
-        Reflection is pre-folded into the augmented centre array, so one
-        kernel term per (centre, node) pair suffices.  The pass works
-        through the CSR in cache-sized blocks: each block materialises
-        the kernel matrix for a run of whole groups, folds the mixture
-        weights in, and segment-sums rows into per-group pdf rows.
-        """
-        state = self._m
-        n_active, m = nodes.shape
-        inv_h = state["inv_h"][active]
-        ns = nodes * inv_h[:, None]
-
-        counts = state["aug_counts"][active]
-        local_offsets = np.concatenate(([0], np.cumsum(counts)))
-        # Per-row (centre) indices into the flat augmented arrays and
-        # into the active-group node matrix.
-        flat_rows = _csr_take_rows(state["aug_offsets"], active)
-        local_group = np.repeat(np.arange(n_active), counts)
-        coh = state["aug_centre_over_h"][flat_rows]
-        cw = state["aug_weights"][flat_rows]
-
-        registry = get_registry()
-        t0 = perf_counter() if registry.enabled else 0.0
-        out = np.empty((n_active, m))
-        chunk_starts = _chunk_by_budget(counts * m, _PDF_BLOCK)
-        for g0, g1 in zip(chunk_starts[:-1], chunk_starts[1:]):
-            r0, r1 = local_offsets[g0], local_offsets[g1]
-            rows = slice(r0, r1)
-            acc = ns.take(local_group[rows], axis=0)
-            acc -= coh[rows, None]
-            np.square(acc, out=acc)
-            acc *= -0.5
-            np.exp(acc, out=acc)
-            acc *= cw[rows, None]
-            out[g0:g1] = np.add.reduceat(acc, local_offsets[g0:g1] - r0, axis=0)
-        out *= (inv_h / _SQRT_2PI)[:, None]
-        if registry.enabled:
-            registry.counter("repro_kernel_pdf_blocks_total").inc(
-                len(chunk_starts) - 1
-            )
-            registry.counter("repro_kernel_pdf_elements_total").inc(
-                int(counts.sum()) * m
-            )
-            registry.histogram("repro_kernel_pdf_seconds").observe(
-                perf_counter() - t0
-            )
-        return out
-
-    def _predict_grid(
-        self,
-        active: np.ndarray,
-        nodes: np.ndarray,
-        lb: np.ndarray,
-        ub: np.ndarray,
-    ) -> np.ndarray:
-        """Regression predictions for each active group on its node row."""
-        state = self._m
-        mode = state["reg_mode"]
-        if mode == "none":
-            raise UnsupportedQueryError(
-                f"model on {self.x_columns} has no regression model; "
-                "regression-based aggregates need a y column"
-            )
-        if mode == "linear":
-            coef = state["reg_affine"][active]
-            return coef[:, 0:1] + coef[:, 1:2] * nodes
-        if mode == "plr":
-            return self._plr_predict(state["reg_plr"], active, nodes)
-        if mode == "forest":
-            return self._forest_predict(state["reg_forest"], active, nodes)
-        if mode == "ensemble":
-            return self._ensemble_predict(active, nodes, lb, ub)
-        # Generic regressors (exotic estimators the exporters cannot
-        # stack): the scalar predict loop remains, but the density work
-        # around it is batched.
-        out = np.empty_like(nodes)
-        for i, g in enumerate(active.tolist()):
-            regressor = state["reg_objects"][g]
-            if isinstance(regressor, EnsembleRegressor):
-                out[i] = regressor.predict(nodes[i], lb=lb[g], ub=ub[g])
-            else:
-                out[i] = regressor.predict(nodes[i])
-        return out
-
-    @staticmethod
-    def _plr_predict(
-        plr: dict, active: np.ndarray, nodes: np.ndarray
-    ) -> np.ndarray:
-        """Stacked piecewise-linear predictions on the given node rows."""
-        coef = plr["affine"][active]
-        out = coef[:, 0:1] + coef[:, 1:2] * nodes
-        counts = np.diff(plr["koffsets"])[active]
-        local_offsets = np.concatenate(([0], np.cumsum(counts)))
-        rows = _csr_take_rows(plr["koffsets"], active)
-        knots = plr["knots"][rows]
-        hinge_coef = plr["hinge"][rows]
-        lg = np.repeat(np.arange(active.shape[0]), counts)
-        hinges = np.maximum(0.0, nodes.take(lg, axis=0) - knots[:, None])
-        hinges *= hinge_coef[:, None]
-        out += np.add.reduceat(hinges, local_offsets[:-1], axis=0)
-        return out
 
     @staticmethod
     def _forest_predict(
@@ -1532,40 +1455,6 @@ class BatchedGroupEvaluator:
         summed = np.add.reduceat(contrib, local_toffsets[:-1], axis=0)
         return summed + forest["base"][active][:, None]
 
-    def _ensemble_predict(
-        self,
-        active: np.ndarray,
-        nodes: np.ndarray,
-        lb: np.ndarray,
-        ub: np.ndarray,
-    ) -> np.ndarray:
-        """Route each group through its selected constituent, stacked.
-
-        Selection is the scalar path's own ``select(lb, ub)`` per group
-        (a tiny classifier lookup); evaluation batches all groups that
-        picked the same constituent through one stacked pass.
-        """
-        state = self._m
-        ens = state["reg_ens"]
-        objects = state["reg_objects"]
-        names = np.asarray([
-            objects[g].select(float(lb[g]), float(ub[g]))
-            for g in active.tolist()
-        ])
-        out = np.empty_like(nodes)
-        for name in np.unique(names).tolist():
-            positions = np.flatnonzero(names == name)
-            sub_active = active[positions]
-            if name in ens["plr"]:
-                out[positions] = self._plr_predict(
-                    ens["plr"][name], sub_active, nodes[positions]
-                )
-            else:
-                out[positions] = self._forest_predict(
-                    ens["forest"][name], sub_active, nodes[positions]
-                )
-        return out
-
     # -- aggregate bodies ---------------------------------------------------
 
     def _avg_y(self, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
@@ -1597,42 +1486,28 @@ class BatchedGroupEvaluator:
     ) -> np.ndarray:
         """E[Var(y|x)] per group, reusing the moment pass's memo entry.
 
-        sigma²(x) is constant between residual edges, so on the
-        closed-form path the expectation is each bin's variance weighted
-        by the bin's mass; the grid path integrates it over its pdf rows.
+        sigma²(x) is constant between residual edges, so the expectation
+        is each bin's variance weighted by the bin's mass.
         """
         state = self._m
         out = state["res_global"].copy()
         active = cache["active"]
         if active.size == 0:
             return out
-        edge_counts = np.diff(state["res_eoffsets"])
-        if cache["closed_form"]:
-            registry = get_registry()
-            t0 = perf_counter() if registry.enabled else 0.0
-            table = self._piece_table("residual")
-            mass = self._range_pieces(table, cache)[:, :, 0]
-            with np.errstate(invalid="ignore", divide="ignore"):
-                expected = (table["var"][active] * mass).sum(axis=1) / den[active]
-            binned = (edge_counts[active] > 0) & (den[active] > _EMPTY_DENSITY)
-            out[active] = np.where(binned, expected, out[active])
-            if registry.enabled:
-                registry.histogram("repro_kernel_moments_seconds").observe(
-                    perf_counter() - t0
-                )
-            return out
-        nodes, pdf, weights = cache["nodes"], cache["pdf"], cache["weights"]
-        for i, g in enumerate(active.tolist()):
-            if edge_counts[g] == 0 or den[g] <= _EMPTY_DENSITY:
-                continue
-            edges = state["res_edges"][
-                state["res_eoffsets"][g]:state["res_eoffsets"][g + 1]
-            ]
-            var = state["res_var"][
-                state["res_voffsets"][g]:state["res_voffsets"][g + 1]
-            ]
-            codes = np.searchsorted(edges, nodes[i], side="left")
-            out[g] = float(weights[i] @ (pdf[i] * var[codes])) / den[g]
+        registry = get_registry()
+        t0 = perf_counter() if registry.enabled else 0.0
+        table = self._piece_table("residual")
+        mass = self._range_pieces(table, cache, slice(None))[:, :, 0]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            expected = ordered_sum(table["var"][active] * mass) / den[active]
+        binned = (np.diff(state["res_eoffsets"])[active] > 0) & (
+            den[active] > _EMPTY_DENSITY
+        )
+        out[active] = np.where(binned, expected, out[active])
+        if registry.enabled:
+            registry.histogram("repro_kernel_moments_seconds").observe(
+                perf_counter() - t0
+            )
         return out
 
     # -- percentile ---------------------------------------------------------
@@ -1943,11 +1818,10 @@ class BatchedGroupEvaluator:
     def _pdf_box_grid(self, active: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Renormalised product-kernel pdf of each active group's grid.
 
-        The d-dimensional analogue of :meth:`_pdf_grid`: one kernel term
-        per (centre, grid-point) pair, worked through the CSR in
-        cache-sized blocks of whole groups.  Squared z-scores accumulate
-        dimension by dimension, so no ``(rows, points, d)`` temporary is
-        ever materialised.
+        One kernel term per (centre, grid-point) pair, worked through
+        the CSR in cache-sized blocks of whole groups.  Squared z-scores
+        accumulate dimension by dimension, so no ``(rows, points, d)``
+        temporary is ever materialised.
         """
         state = self._m
         d = state["ndim"]

@@ -36,9 +36,11 @@ class DBEstConfig:
         1-D and the multivariate estimator.
     integration_points:
         Simpson grid size (odd, >= 3) for the integrals that need a
-        grid: forest / ensemble / generic regressors and multivariate
-        boxes.  1-D integrals of the identity, ``linear`` and ``plr``
-        are closed-form (:mod:`repro.integrate.moments`) and ignore it.
+        grid: multivariate boxes and regressors that export no pieces.
+        1-D integrals of the identity and of every regressor the engine
+        builds (``linear``, ``plr``, ``tree``, ``gboost``, ``xgboost``,
+        ``ensemble``) are closed-form (:mod:`repro.integrate.moments`)
+        and ignore it.
     integration_method:
         ``"simpson"`` (default: closed form where one exists, else the
         vectorised fixed grid above) or ``"quad"`` (adaptive QUADPACK
@@ -60,8 +62,9 @@ class DBEstConfig:
         (see :mod:`repro.core.batched`) instead of the per-group scalar
         loop.  Both 1-D and multivariate predicate sets stack; the rare
         sets the batched path cannot stack (adaptive quadrature, exotic
-        densities, mixed regressor presence) silently fall back to the
-        scalar loop regardless of this flag.
+        densities, mixed regressor presence, 1-D regressors that export
+        no pieces) silently fall back to the scalar loop regardless of
+        this flag.
     batched_train:
         Build GROUP BY model sets with the batched trainer
         (:mod:`repro.core.batched_train`): one sorted partition of the

@@ -308,7 +308,7 @@ class ColumnSetModel:
         """``∫ D(x) dx`` over the (clipped) query range.
 
         ``mass`` is that integral when the caller already holds it (the
-        closed-form ``∫D`` of :meth:`_grid_moments_1d`); a constant
+        ``∫D`` of :meth:`_closed_form_moments_1d`); a constant
         column keeps its inclusive point-mass rule either way.
         """
         lb, ub = self._clip_1d(lb, ub)
@@ -322,84 +322,169 @@ class ColumnSetModel:
             mass = self.density.integrate(lb, ub)
         return max(0.0, mass)
 
-    def _closed_form(self, use_regressor: bool) -> bool:
-        """Whether the 1-D moment integrals are taken analytically.
+    # -- closed form (repro.integrate.moments) ------------------------------
+
+    def __getstate__(self) -> dict:
+        # The piece tables are derived state: a pickle (and so
+        # size_bytes and every store record) does not depend on which
+        # queries the model has answered.
+        state = self.__dict__.copy()
+        state.pop("_pieces", None)
+        return state
+
+    def _table(self, key, build):
+        """Query-independent closed-form state, derived on first use.
+
+        Held in ``self._pieces`` (absent after unpickling, never
+        persisted); every entry is what any later ``build()`` would
+        return, so answers do not depend on query history.
+        """
+        pieces = self.__dict__.setdefault("_pieces", {})
+        if key not in pieces:
+            pieces[key] = build()
+        return pieces[key]
+
+    def _unit_mixture(self) -> dict:
+        """The KDE in its unit-bandwidth coordinate ``u = (x - x0) / h``."""
+
+        def build() -> dict:
+            mix = self.density.export_mixture()
+            lo, hi = mix.support
+            centres, weights = mix.centres, mix.weights
+            if mix.reflect:
+                centres = np.concatenate(
+                    [centres, 2.0 * lo - centres, 2.0 * hi - centres]
+                )
+                weights = np.concatenate([weights, weights, weights])
+            x0 = 0.5 * (lo + hi)
+            inv_h = 1.0 / mix.h
+            return {
+                "x0": x0, "inv_h": inv_h, "w": weights,
+                "g": centres * inv_h - x0 * inv_h,
+                "offsets": np.asarray([0, weights.shape[0]]),
+            }
+
+        return self._table("unit", build)
+
+    def _cumulative(self, t: np.ndarray) -> np.ndarray:
+        unit = self._unit_mixture()
+        return cumulative_moments(
+            unit["g"], unit["w"], unit["offsets"],
+            np.zeros(t.shape[0], dtype=np.intp), t,
+        )
+
+    def _piece_table(self, breaks: np.ndarray, **coefficients) -> dict:
+        """Breakpoints (unit coordinates) plus per-piece coefficients.
+
+        ``moments`` holds the cumulative mixture moments at each
+        breakpoint: NaN until the first range that covers it, then
+        written once by :meth:`_range_pieces`.
+        """
+        unit = self._unit_mixture()
+        return {
+            "cuts": (breaks - unit["x0"]) * unit["inv_h"],
+            "moments": np.full((breaks.shape[0], 3), np.nan),
+            **coefficients,
+        }
+
+    def _regressor_pieces(self, regressor) -> dict | None:
+        """Piece table on which ``R(u) = alpha·u + beta``, or None.
+
+        ``linear`` / ``plr`` are affine between knots; ``tree`` /
+        ``gboost`` / ``xgboost`` are constant between their sorted
+        distinct split thresholds, the piece ``(t[k-1], t[k]]`` taking
+        ``predict(t[k])`` (``x <= t`` goes left) and the last piece
+        ``predict(+inf)``.  Regressors that export no such state get
+        None and stay on the grid.
+        """
+        export = getattr(regressor, "export_batch_state", None)
+        state = export() if export is not None else None
+        kind = state[0] if state is not None else None
+        x0 = self._unit_mixture()["x0"]
+        h = self.density.h
+        if kind == "linear":
+            coef = state[1]
+            breaks, slope = np.empty(0), coef[1:2]
+            value = coef[:1] + coef[1:2] * x0
+        elif kind == "plr":
+            breaks, coef = state[1], state[2]
+            hinge = coef[2:]
+            slope = coef[1] + np.concatenate(([0.0], np.cumsum(hinge)))
+            value = (coef[0] + coef[1] * x0) + np.concatenate(
+                ([0.0], np.cumsum(hinge * (x0 - breaks)))
+            )
+        elif kind == "forest":
+            breaks = np.unique(state[5][state[4] >= 0])
+            value = regressor.predict(np.append(breaks, np.inf))
+            slope = np.zeros_like(value)
+        else:
+            return None
+        return self._piece_table(breaks, alpha=h * slope, beta=value)
+
+    def _moment_table(
+        self, use_regressor: bool, lb: float | None, ub: float | None
+    ) -> dict | None:
+        """The piece table the 1-D moment integrals use, or None (grid).
 
         The rule of :mod:`repro.integrate.moments`: a Gaussian KDE under
         ``integration_method="simpson"``, and either the identity
-        integrand or a ``linear`` / ``plr`` regressor.
+        integrand or a regressor with pieces (:meth:`_regressor_pieces`);
+        an ensemble uses the constituent ``select(lb, ub)`` picks.
         """
         if (
             self.n_dims != 1
             or self.integration_method != "simpson"
             or not isinstance(self.density, KernelDensityEstimator)
         ):
-            return False
-        return not use_regressor or isinstance(
-            self.regressor, (LinearRegressor, PiecewiseLinearRegressor)
+            return None
+        if not use_regressor:
+            return self._table("identity", lambda: self._piece_table(
+                np.empty(0), alpha=np.full(1, self.density.h),
+                beta=np.full(1, self._unit_mixture()["x0"]),
+            ))
+        regressor, name = self.regressor, None
+        if isinstance(regressor, EnsembleRegressor):
+            name = regressor.select(lb, ub)
+            regressor = regressor.models_[name]
+        return self._table(
+            ("regressor", name), lambda: self._regressor_pieces(regressor)
         )
 
-    def _affine_pieces(self, x0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(knots, slope, value)`` of a ``linear`` / ``plr`` regressor.
+    def _range_ends(self, a: float, b: float) -> tuple[float, float, np.ndarray]:
+        """``(ta, tb, ends)``: a clipped range in unit coordinates and the
+        cumulative moments at its two ends."""
+        unit = self._unit_mixture()
+        ta, tb = (a - unit["x0"]) * unit["inv_h"], (b - unit["x0"]) * unit["inv_h"]
+        return ta, tb, self._cumulative(np.asarray([ta, tb]))
 
-        On the p-th piece between consecutive knots
-        ``R(x) = slope[p]·(x - x0) + value[p]``.
+    def _range_pieces(
+        self, table: dict, ta: float, tb: float, ends: np.ndarray
+    ) -> tuple[slice, np.ndarray]:
+        """Moment differences across the table's pieces inside ``[ta, tb]``.
+
+        Returns ``(pieces, d)``: ``d[k]`` belongs to piece
+        ``pieces.start + k``.  Breakpoint cells the range covers are
+        filled on first use and read ever after.
         """
-        state = self.regressor.export_batch_state()
-        coef = state[-1]
-        if state[0] == "linear":
-            return np.empty(0), coef[1:2], coef[:1] + coef[1:2] * x0
-        knots, hinge = state[1], coef[2:]
-        slope = coef[1] + np.concatenate(([0.0], np.cumsum(hinge)))
-        value = (coef[0] + coef[1] * x0) + np.concatenate(
-            ([0.0], np.cumsum(hinge * (x0 - knots)))
-        )
-        return knots, slope, value
-
-    def _piece_moments(
-        self, a: float, b: float, breaks: np.ndarray
-    ) -> tuple[int, np.ndarray]:
-        """Mixture moments of ``[a, b]`` cut at the ``breaks`` inside it.
-
-        Returns ``(first, d)``: ``d[k]`` is the difference of the
-        cumulative ``(M0, M1, M2)`` across the k-th piece, which lies
-        between ``breaks[first + k - 1]`` and ``breaks[first + k]``.
-        """
-        mix = self.density.export_mixture()
-        lo, hi = mix.support
-        centres, weights = mix.centres, mix.weights
-        if mix.reflect:
-            centres = np.concatenate(
-                [centres, 2.0 * lo - centres, 2.0 * hi - centres]
-            )
-            weights = np.concatenate([weights, weights, weights])
-        x0 = 0.5 * (lo + hi)
-        inv_h = 1.0 / mix.h
-        g = centres * inv_h - x0 * inv_h
-        ta, tb = (a - x0) * inv_h, (b - x0) * inv_h
-        cuts = (breaks - x0) * inv_h
+        cuts = table["cuts"]
         first = int(np.searchsorted(cuts, ta, side="right"))
         last = int(np.searchsorted(cuts, tb, side="left"))
-        t = np.concatenate(([ta], cuts[first:last], [tb]))
-        cumulative = cumulative_moments(
-            g, weights, np.asarray([0, g.shape[0]]),
-            np.zeros(t.shape[0], dtype=np.intp), t,
-        )
-        return first, np.diff(cumulative, axis=0)
+        cells = table["moments"][first:last]
+        missing = np.isnan(cells[:, 0])
+        if missing.any():
+            cells[missing] = self._cumulative(cuts[first:last][missing])
+        d = np.diff(np.concatenate([ends[:1], cells, ends[1:]]), axis=0)
+        return slice(first, last + 1), d
 
     def _closed_form_moments_1d(
-        self, a: float, b: float, use_regressor: bool
+        self, lb: float, ub: float, table: dict
     ) -> tuple[float, float, float]:
-        lo, hi = self.density.support
-        x0 = 0.5 * (lo + hi)
-        if use_regressor:
-            knots, slope, value = self._affine_pieces(x0)
-        else:
-            knots, slope, value = np.empty(0), np.ones(1), np.full(1, x0)
-        first, d = self._piece_moments(a, b, knots)
-        pieces = slice(first, first + d.shape[0])
+        a, b = self._clip_1d(lb, ub)
+        if b <= a:
+            return 0.0, 0.0, 0.0
+        pieces, d = self._range_pieces(table, *self._range_ends(a, b))
         den, num1, num2 = affine_piece_integrals(
-            d, self.density.h * slope[pieces], value[pieces]
+            d, table["alpha"][pieces], table["beta"][pieces]
         )
         return float(den), float(num1), float(num2)
 
@@ -407,11 +492,12 @@ class ColumnSetModel:
         self, lb: float, ub: float, use_regressor: bool
     ) -> tuple[float, float, float]:
         """(∫D, ∫fD, ∫f²D) over the range, f = R(x) or identity."""
+        table = self._moment_table(use_regressor, lb, ub)
+        if table is not None:
+            return self._closed_form_moments_1d(lb, ub, table)
         a, b = self._clip_1d(lb, ub)
         if b <= a:
             return 0.0, 0.0, 0.0
-        if self._closed_form(use_regressor):
-            return self._closed_form_moments_1d(a, b, use_regressor)
         m = self.integration_points
         if self.integration_method == "quad":
             pdf = lambda t: float(self.density.pdf(t)[0])  # noqa: E731
@@ -521,15 +607,16 @@ class ColumnSetModel:
     def sum_(self, ranges: dict[str, tuple[float, float]]) -> float:
         """SUM(y) = COUNT · AVG  (Equation 7), computed consistently.
 
-        Where the moment integrals are closed-form (1-D ``linear`` /
-        ``plr``) COUNT's mass is the ``∫D`` AVG already divides by;
-        forest / ensemble / generic regressors and multivariate boxes
+        Where the moment integrals are closed-form (1-D, every regressor
+        the engine builds) COUNT's mass is the ``∫D`` AVG already
+        divides by; regressors without pieces and multivariate boxes
         take COUNT from the analytic mixture CDF and AVG from the
         Simpson grid.  Either way SUM = COUNT × AVG is an exact identity.
         """
-        if self._closed_form(use_regressor=True):
-            den, num1, _ = self._moments(ranges, use_regressor=True)
-            bounds = self._normalise_ranges(ranges)[0]
+        bounds = self._normalise_ranges(ranges)[0]
+        table = self._moment_table(True, *bounds)
+        if table is not None:
+            den, num1, _ = self._closed_form_moments_1d(*bounds, table)
             count = self.population_size * self._fraction_1d(*bounds, mass=den)
             average = num1 / den if den > _EMPTY_DENSITY else float("nan")
         else:
@@ -563,11 +650,13 @@ class ColumnSetModel:
         a, b = self._clip_1d(*self._normalise_ranges(ranges)[0])
         if b <= a or den <= _EMPTY_DENSITY:
             return self._residual_var_global
-        if self._closed_form(use_regressor=True):
+        if self._moment_table(False, a, b) is not None:
             # sigma^2(x) is constant between residual edges: E[Var(y|x)]
             # is each bin's variance weighted by the bin's mass.
-            first, d = self._piece_moments(a, b, self._residual_edges)
-            bins = slice(first, first + d.shape[0])
+            table = self._table(
+                "residual", lambda: self._piece_table(self._residual_edges)
+            )
+            bins, d = self._range_pieces(table, *self._range_ends(a, b))
             return float(self._residual_var[bins] @ d[:, 0]) / den
         nodes, w = simpson_grid(a, b, self.integration_points)
         d = self.density.pdf(nodes)

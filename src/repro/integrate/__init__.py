@@ -3,14 +3,17 @@
 DBEst evaluates aggregates as integrals of the density estimator, weighted
 by the regression model (paper §3 "Integral Evaluation").  The paper uses
 SciPy's QUADPACK wrapper; we expose that as the adaptive method and add a
-fixed Simpson grid, which is the default because the weighted integrands
-(tree-ensemble predictions) are piecewise constant and cheap to evaluate in
-a single vectorised batch.  Integrands that are piecewise linear against a
-1-D Gaussian mixture need no quadrature at all: :mod:`repro.integrate.moments`
-gives them in closed form.
+fixed Simpson grid for multivariate boxes and regressors with no known
+pieces.  Integrands that are piecewise linear (or constant, as tree
+ensembles are) against a 1-D Gaussian mixture need no quadrature at all:
+:mod:`repro.integrate.moments` gives them in closed form.
 """
 
-from repro.integrate.moments import affine_piece_integrals, cumulative_moments
+from repro.integrate.moments import (
+    affine_piece_integrals,
+    cumulative_moments,
+    ordered_sum,
+)
 from repro.integrate.quadrature import (
     adaptive_quad,
     integrate_product,
@@ -26,6 +29,7 @@ __all__ = [
     "bisect",
     "cumulative_moments",
     "integrate_product",
+    "ordered_sum",
     "simpson_grid",
     "simpson_integrate",
     "simpson_weights",

@@ -2,19 +2,20 @@
 
 DBEst answers SUM / AVG / VARIANCE as ``∫R·D`` and ``∫R²·D`` over the
 query range (paper §2.3, Eq. 6-9).  A 1-D KDE is a Gaussian mixture —
-boundary reflection only adds mirrored centres — and the ``linear`` and
-``plr`` regressors are piecewise linear in x, so those integrals need no
-quadrature: they are finite sums of ``ndtr`` and ``exp`` at the range
-ends and the spline knots.  The same holds for the identity integrand
-(``AVG(x)``, ``VARIANCE(x)``, whatever the regressor) and for
-``E[Var(y|x)]``, whose integrand is piecewise constant on the
+boundary reflection only adds mirrored centres — and every regressor the
+engine builds is piecewise linear in x: ``linear`` and ``plr`` between
+their knots, ``tree`` / ``gboost`` / ``xgboost`` constant between their
+distinct split thresholds, an ``ensemble`` whichever its range selector
+picks.  So those integrals need no quadrature: they are finite sums of
+``ndtr`` and ``exp`` at the range ends and the breakpoints.  The same
+holds for the identity integrand (``AVG(x)``, ``VARIANCE(x)``) and for
+``E[Var(y|x)]``, whose integrand is constant between the
 residual-variance bin edges.  Both :class:`~repro.core.model.ColumnSetModel`
 and :class:`~repro.core.batched.BatchedGroupEvaluator` take that route
-for 1-D ``integration_method="simpson"`` models.  Tree, boosted and
-ensemble regressors are piecewise constant on far more pieces than a
-grid has nodes, generic regressors have no known pieces, and
-multivariate boxes and ``"quad"`` have no such closed form here: those
-keep the Simpson grid (:mod:`repro.integrate.quadrature`).
+for 1-D ``integration_method="simpson"`` models; the moments at the
+breakpoints are query-independent, so each is computed once.  Only
+regressors that export no pieces, multivariate boxes and ``"quad"``
+keep a quadrature (:mod:`repro.integrate.quadrature`).
 
 Everything works in a mixture's *unit-bandwidth coordinate*
 ``u = (x - x0) / h`` with ``x0`` the support midpoint, so that kernel
@@ -115,9 +116,17 @@ def affine_piece_integrals(
     """
     d0, d1, d2 = d[..., 0], d[..., 1], d[..., 2]
     return (
-        d0.sum(axis=-1),
-        (alpha * d1 + beta * d0).sum(axis=-1),
-        (alpha * alpha * d2 + 2.0 * alpha * beta * d1 + beta * beta * d0).sum(
-            axis=-1
-        ),
+        ordered_sum(d0),
+        ordered_sum(alpha * d1 + beta * d0),
+        ordered_sum(alpha * alpha * d2 + 2.0 * alpha * beta * d1 + beta * beta * d0),
     )
+
+
+def ordered_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, left to right.
+
+    Unlike NumPy's pairwise ``sum``, the result does not depend on how
+    many empty (zero) pieces pad a row, so a group's answer has the same
+    bits in any batch whatever the other groups' piece counts.
+    """
+    return np.cumsum(x, axis=-1)[..., -1]

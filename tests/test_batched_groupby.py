@@ -130,7 +130,7 @@ class TestAggregateParity:
         )
 
     def test_ensemble_regressor_parity(self):
-        """Generic regressors loop per group, density work stays batched."""
+        """Each group integrates against its selected constituent's pieces."""
         model_set = make_model_set(regressor="ensemble", seed=5)
         assert model_set.batched_evaluator() is not None
         for func in ("SUM", "AVG", "VARIANCE"):

@@ -1,24 +1,32 @@
 """Closed-form moment integrals (:mod:`repro.integrate.moments`).
 
-Three bars:
+Three bars, for every regressor the engine builds (``linear``, ``plr``,
+``tree``, ``gboost``, ``xgboost`` and the ``ensemble`` of ``gboost``,
+``xgboost`` and ``plr``):
 
 * **accuracy** - the moments function, and the ``∫D``, ``∫R·D``,
-  ``∫R²·D`` and ``E[Var(y|x)]`` built from it, agree to 1e-6 relative
+  ``∫R²·D`` and ``E[Var(y|x)]`` built from it, agree to 1e-9 relative
   with composite Simpson at 4097 nodes *per smooth piece* (the range is
-  cut at the spline knots and the residual-variance edges first, so no
-  panel straddles a kink or a jump - a 4097-node rule across a jump is
-  only O(1/4096) accurate and could not referee 1e-6);
+  cut at the spline knots or split thresholds and the residual-variance
+  edges first, so no panel straddles a kink or a jump - a 4097-node rule
+  across a jump is only O(1/4096) accurate).  A forest is constant on
+  each piece ``(t[k-1], t[k]]``, so its reference takes the value at
+  the piece midpoint: Simpson's left-end node sits on ``t[k-1]``, where
+  ``predict`` returns the left neighbour's value;
 * **parity** - batched == scalar to 1e-9 on ranges the older fixtures
-  miss (1 %-wide, inside one spline piece, across every knot, ending
-  exactly on a knot or a residual edge, partly and wholly outside the
-  support, a point-mass group, ``split(3)`` chunks);
+  miss (1 %-wide, inside one piece, across every breakpoint, ending
+  exactly on a knot, a split threshold or a residual edge, partly and
+  wholly outside the support, a point-mass group, ensemble groups that
+  pick different constituents for the same bounds, ``split(3)`` chunks);
 * **history independence** - the same query gives the same bits from a
   fresh evaluator, a well-used one, a ``from_mapped`` one and a
-  pickled-and-restored one.
+  pickled-and-restored one, and from a fresh or a well-used scalar
+  model, whose pickle never carries its derived tables.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import pickle
 
@@ -33,11 +41,12 @@ from repro.integrate import (
     cumulative_moments,
     simpson_grid,
 )
+from repro.ml.ensemble import EnsembleRegressor
 from repro.ml.kde import KernelDensityEstimator
 from repro.sql.ast import AggregateCall
 
 REFERENCE_NODES = 4097
-REFERENCE_RTOL = 1e-6
+REFERENCE_RTOL = 1e-9
 
 
 # -- the kernel itself ---------------------------------------------------------
@@ -149,17 +158,37 @@ def _scalar_model(regressor: str, density: str) -> ColumnSetModel:
     )
 
 
+def _breakpoints(regressor) -> tuple[np.ndarray, bool]:
+    """``(breaks, constant)``: a spline's knots (affine between them) or a
+    forest's distinct split thresholds (constant between them)."""
+    state = regressor.export_batch_state()
+    if state[0] == "forest":
+        return np.unique(state[5][state[4] >= 0]), True
+    return (state[1] if state[0] == "plr" else np.empty(0)), False
+
+
+def _force(ensemble: EnsembleRegressor, name: str) -> None:
+    """Make every range select the ``name`` constituent."""
+    ensemble.selector_ = None
+    ensemble._default_name = name
+
+
 def _reference(model: ColumnSetModel, lb: float, ub: float) -> dict:
     """Composite Simpson, ``REFERENCE_NODES`` nodes on every smooth piece."""
     a, b = model._clip_1d(lb, ub)
-    knots = getattr(model.regressor, "_knots", np.empty(0))
+    regressor = model.regressor
+    if isinstance(regressor, EnsembleRegressor):
+        regressor = regressor.models_[regressor.select(lb, ub)]
+    knots, constant = _breakpoints(regressor)
     breaks = np.concatenate([knots, model._residual_edges])
     cuts = np.concatenate(([a], np.sort(breaks[(breaks > a) & (breaks < b)]), [b]))
+    if constant:
+        levels = regressor.predict(0.5 * (cuts[:-1] + cuts[1:]))
     total = dict.fromkeys(("den", "x1", "x2", "r1", "r2", "res"), 0.0)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
+    for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
         nodes, weights = simpson_grid(float(lo), float(hi), REFERENCE_NODES)
         wd = weights * model.density.pdf(nodes)
-        r = model.regressor.predict(nodes)
+        r = np.full_like(nodes, levels[k]) if constant else regressor.predict(nodes)
         sigma2 = model.residual_variance(np.asarray([0.5 * (lo + hi)]))[0]
         total["den"] += wd.sum()
         total["x1"] += wd @ nodes
@@ -168,6 +197,23 @@ def _reference(model: ColumnSetModel, lb: float, ub: float) -> dict:
         total["r2"] += wd @ (r * r)
         total["res"] += sigma2 * wd.sum()
     return total
+
+
+def _assert_matches_reference(model, ranges, rtol) -> None:
+    for lb, ub in ranges:
+        want = _reference(model, lb, ub)
+        den, x1, x2 = model._grid_moments_1d(lb, ub, use_regressor=False)
+        den_r, r1, r2 = model._grid_moments_1d(lb, ub, use_regressor=True)
+        residual = model._expected_residual_variance({"x": (lb, ub)}, den_r)
+        got = {
+            "den": den, "x1": x1, "x2": x2, "r1": r1, "r2": r2,
+            "res": residual * den_r,
+        }
+        assert den_r == pytest.approx(den, rel=1e-12)
+        for name, value in want.items():
+            assert got[name] == pytest.approx(value, rel=rtol), (
+                f"{name} over [{lb}, {ub}]"
+            )
 
 
 REFERENCE_RANGES = (
@@ -183,21 +229,23 @@ class TestAgainstSimpsonReference:
     @pytest.mark.parametrize("regressor", ["plr", "linear"])
     def test_integrals(self, regressor, density):
         model = _scalar_model(regressor, density)
-        assert model._closed_form(use_regressor=True)
-        for lb, ub in REFERENCE_RANGES:
-            want = _reference(model, lb, ub)
-            den, x1, x2 = model._grid_moments_1d(lb, ub, use_regressor=False)
-            den_r, r1, r2 = model._grid_moments_1d(lb, ub, use_regressor=True)
-            residual = model._expected_residual_variance({"x": (lb, ub)}, den_r)
-            got = {
-                "den": den, "x1": x1, "x2": x2, "r1": r1, "r2": r2,
-                "res": residual * den_r,
-            }
-            assert den_r == pytest.approx(den, rel=1e-12)
-            for name, value in want.items():
-                assert got[name] == pytest.approx(value, rel=REFERENCE_RTOL), (
-                    f"{name} over [{lb}, {ub}]"
-                )
+        assert model._moment_table(True, 0.0, 100.0) is not None
+        _assert_matches_reference(model, REFERENCE_RANGES, REFERENCE_RTOL)
+
+    @pytest.mark.parametrize("regressor", ["tree", "gboost", "xgboost", "ensemble"])
+    def test_piecewise_constant_integrals(self, regressor):
+        """Forests, and an ensemble forced onto each constituent in turn.
+
+        The binned density and the ranges short of the whole support
+        keep the reference (4097 nodes x up to ~180 pieces) cheap.
+        """
+        model = _scalar_model(regressor, "binned")
+        ensemble = model.regressor if regressor == "ensemble" else None
+        for name in ensemble.constituent_names if ensemble else [None]:
+            if ensemble:
+                _force(ensemble, name)
+            assert model._moment_table(True, 0.0, 100.0) is not None
+            _assert_matches_reference(model, REFERENCE_RANGES[1:], REFERENCE_RTOL)
 
     def test_mass_equals_the_analytic_cdf(self):
         model = _scalar_model("plr", "reflected")
@@ -213,34 +261,54 @@ class TestAgainstSimpsonReference:
                 x, y, "t", ("x",), "y", 1000, DBEstConfig(random_seed=1, **kwargs)
             )
 
-        for regressor in ("plr", "linear"):
-            assert train(regressor=regressor)._closed_form(use_regressor=True)
-        tree = train(regressor="tree")
-        assert tree._closed_form(use_regressor=False)       # AVG(x), VARIANCE(x)
-        assert not tree._closed_form(use_regressor=True)
+        for regressor in ("plr", "linear", "tree", "gboost", "xgboost"):
+            model = train(regressor=regressor)
+            assert model._moment_table(True, 20.0, 70.0) is not None
+        opaque = _without_pieces(train(regressor="tree"))
+        assert opaque._moment_table(False, 20.0, 70.0) is not None  # AVG(x)
+        assert opaque._moment_table(True, 20.0, 70.0) is None
         quad = train(regressor="plr", integration_method="quad")
-        assert not quad._closed_form(use_regressor=False)
+        assert quad._moment_table(False, 20.0, 70.0) is None
 
-    def test_integration_points_only_matter_on_the_grid(self):
+    def test_integration_points_do_not_matter_in_one_dimension(self):
         x, y = _sample(400)
         ranges = {"x": (20.0, 70.0)}
 
-        def answers(regressor, points):
+        def answers(regressor, points, opaque=False):
             model = ColumnSetModel.train(
                 x, y, "t", ("x",), "y", 1000,
                 DBEstConfig(
                     regressor=regressor, random_seed=1, integration_points=points
                 ),
             )
+            if opaque:
+                model = _without_pieces(model)
             return (
                 model.avg(ranges), model.sum_(ranges), model.variance_y(ranges),
                 model.avg_x(ranges), model.variance_x(ranges),
             )
 
         assert answers("plr", 9) == answers("plr", 257)
-        coarse, fine = answers("tree", 9), answers("tree", 257)
+        assert answers("tree", 9) == answers("tree", 257)
+        # A regressor that exports no pieces stays on the Simpson grid.
+        coarse, fine = answers("tree", 9, True), answers("tree", 257, True)
         assert coarse[3:] == fine[3:]          # identity integrand: closed form
-        assert coarse[:3] != fine[:3]          # forest regressor: Simpson grid
+        assert coarse[:2] != fine[:2]
+
+
+class _Opaque:
+    """A fitted regressor behind an interface with no batch export."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+
+    def predict(self, x):
+        return self.inner.predict(x)
+
+
+def _without_pieces(model: ColumnSetModel) -> ColumnSetModel:
+    model.regressor = _Opaque(model.regressor)
+    return model
 
 
 # -- batched == scalar on the ranges the older fixtures miss -----------------
@@ -291,26 +359,41 @@ def make_model_set(regressor: str, seed: int = 6) -> GroupByModelSet:
     )
 
 
-@pytest.fixture(scope="module", params=["plr", "linear"])
+@functools.lru_cache(maxsize=None)
+def trained_model_set(regressor: str) -> GroupByModelSet:
+    return make_model_set(regressor)
+
+
+@pytest.fixture(
+    scope="module", params=["plr", "linear", "tree", "gboost", "xgboost", "ensemble"]
+)
 def model_set(request) -> GroupByModelSet:
-    return make_model_set(request.param)
+    return trained_model_set(request.param)
 
 
 def sweep_ranges(model_set: GroupByModelSet) -> dict[str, dict]:
+    """Named ranges cut at group 0's breakpoints: spline knots, split
+    thresholds (an ensemble's: its ``gboost`` constituent's) or, for
+    ``linear``, the residual edges."""
     model = model_set.models[0]
     edges = model._residual_edges
-    knots = getattr(model.regressor, "_knots", edges)
+    regressor = model.regressor
+    if isinstance(regressor, EnsembleRegressor):
+        regressor = regressor.models_["gboost"]
+    breaks = _breakpoints(regressor)[0]
+    if breaks.size == 0:
+        breaks = edges
     lo, hi = model.density.support
     return {
         "one percent": {"x": (40.0, 41.0)},
         "inside one piece": {
             "x": (
-                float(0.75 * knots[2] + 0.25 * knots[3]),
-                float(0.25 * knots[2] + 0.75 * knots[3]),
+                float(0.75 * breaks[2] + 0.25 * breaks[3]),
+                float(0.25 * breaks[2] + 0.75 * breaks[3]),
             )
         },
-        "every knot": {"x": (float(knots[0]) - 1.0, float(knots[-1]) + 1.0)},
-        "ends on knots": {"x": (float(knots[1]), float(knots[-2]))},
+        "every breakpoint": {"x": (float(breaks[0]) - 1.0, float(breaks[-1]) + 1.0)},
+        "ends on breakpoints": {"x": (float(breaks[1]), float(breaks[-2]))},
         "ends on residual edges": {"x": (float(edges[0]), float(edges[-1]))},
         "ends on the support": {"x": (lo, hi)},
         "partly below": {"x": (-20.0, 30.0)},
@@ -380,6 +463,27 @@ class TestBatchedScalarParity:
         for key in total:
             assert total[key] == pytest.approx(count[key] * avg[key], rel=1e-12)
 
+    def test_ensemble_groups_pick_different_constituents(self):
+        """The sweep holds bounds for which the groups of one ensemble set
+        select different constituents - all three of them overall."""
+        model_set = trained_model_set("ensemble")
+        mixed, picked = 0, set()
+        for ranges in sweep_ranges(model_set).values():
+            names = {
+                model.regressor.select(*model._normalise_ranges(ranges)[0])
+                for model in model_set.models.values()
+            }
+            mixed += len(names) > 1
+            picked |= names
+        assert mixed >= 6
+        assert picked == {"gboost", "xgboost", "plr"}
+
+    def test_sets_without_pieces_use_the_scalar_loop(self):
+        model_set = make_model_set("tree")
+        for model in model_set.models.values():
+            _without_pieces(model)
+        assert BatchedGroupEvaluator.build(model_set) is None
+
     def test_split_chunks_give_the_same_bits(self, model_set):
         evaluator = model_set.batched_evaluator()
         for call in CALLS:
@@ -445,3 +549,40 @@ class TestHistoryIndependence:
         assert len(pickle.dumps(evaluator)) == len(
             pickle.dumps(BatchedGroupEvaluator.build(model_set))
         )
+
+    @staticmethod
+    def _scalar_answers(model: ColumnSetModel, ranges: dict) -> list[float]:
+        return [
+            answer(ranges)
+            for answer in (
+                model.sum_, model.avg, model.variance_y, model.avg_x,
+                model.variance_x,
+            )
+        ]
+
+    def test_scalar_model_same_bits_whatever_was_asked_before(self, model_set):
+        model = model_set.models[0]
+        fresh = pickle.loads(pickle.dumps(model))
+        want = self._scalar_answers(fresh, self.QUERY)
+
+        used = pickle.loads(pickle.dumps(model))
+        rng = np.random.default_rng(9)
+        for lb, width in zip(rng.uniform(-10, 90, 50), rng.uniform(0.5, 60, 50)):
+            self._scalar_answers(used, {"x": (float(lb), float(lb + width))})
+        assert self._scalar_answers(used, self.QUERY) == want
+        assert self._scalar_answers(fresh, self.QUERY) == want
+
+    def test_scalar_pickle_does_not_carry_the_tables(self, model_set):
+        """``size_bytes`` and every store record hash what the model is,
+        not which queries it answered."""
+        model = pickle.loads(pickle.dumps(model_set.models[0]))
+        assert "_pieces" not in model.__dict__
+        before, size = pickle.dumps(model), model.size_bytes()
+        rng = np.random.default_rng(10)
+        for lb, width in zip(rng.uniform(-10, 90, 50), rng.uniform(0.5, 60, 50)):
+            ranges = {"x": (float(lb), float(lb + width))}
+            model.sum_(ranges), model.avg(ranges), model.variance_y(ranges)
+        assert model._pieces
+        assert pickle.dumps(model) == before
+        assert model.size_bytes() == size
+        assert "_pieces" not in pickle.loads(before).__dict__
