@@ -17,9 +17,9 @@ arrays at build time so a query touches each array once:
   are concatenated into ``centres``/``cweights`` with ``coffsets`` group
   offsets (the classic CSR indptr).  Per-group scalars (bandwidth,
   support, domain, population, point-mass value) become ``(G,)`` arrays.
-* **Analytic aggregates** (COUNT, the CDF legs of PERCENTILE) evaluate
-  ``ndtr`` over the flat centre array once and segment-reduce with
-  ``np.add.reduceat``.
+* **COUNT** is the population times ``M0(tb) - M0(ta)``: the moment
+  kernel below at the two clipped ends, in its mass-only form (no
+  ``exp``, no ``M1`` / ``M2``).
 * **Moment aggregates** (SUM/AVG/VARIANCE/STDDEV) integrate ``f·D`` and
   ``f²·D`` over each group's clipped range in closed form
   (:mod:`repro.integrate.moments`), by the rule the scalar
@@ -43,8 +43,9 @@ arrays at build time so a query touches each array once:
 * **Raw groups** are concatenated row-wise and answered with one masked
   segmented reduction per aggregate.
 * **PERCENTILE** runs all groups' bisections in lock-step: each
-  iteration evaluates the analytic CDF for every unconverged group in
-  one segmented pass, mirroring :func:`repro.integrate.bisect` exactly.
+  iteration evaluates the mass ``M0`` of every group's mirrored mixture
+  at its own point in one windowed pass (the kernel's ``degree=0``
+  form, no ``exp``), by :func:`repro.integrate.bisect_many` like a scalar.
 * **Multivariate predicates** stack the same way: all groups'
   product-kernel mixtures (:class:`~repro.ml.kde.MultivariateKDE`)
   concatenate into one ``(M, d)`` CSR centre array, box integrals
@@ -93,10 +94,12 @@ from repro.errors import (
 )
 from repro.integrate import (
     affine_piece_integrals,
+    bisect_many,
     cumulative_moments,
     ordered_sum,
     simpson_weights,
 )
+from repro.integrate.moments import gather_ranges
 from repro.ml.ensemble import EnsembleRegressor
 from repro.ml.kde import KernelDensityEstimator, MultivariateKDE
 from repro.obs import get_registry
@@ -364,10 +367,11 @@ class BatchedGroupEvaluator:
             out[new_dest] = np.asarray(mini[field])[take[new_dest]]
             return out
 
-        def merge_csr(data_field: str, off_field: str) -> tuple:
+        def merge_csr(data_field: str, off_field: str, sub: str = "") -> tuple:
             segs = []
             counts = np.empty(g, dtype=np.int64)
             for u, (st, i) in enumerate(src):
+                st = st[sub] if sub else st
                 off = st[off_field]
                 seg = st[data_field][off[i]:off[i + 1]]
                 segs.append(seg)
@@ -394,22 +398,11 @@ class BatchedGroupEvaluator:
         for key in ("h", "sup_lo", "sup_hi", "dom_lo", "dom_hi", "reflect",
                     "pm_mask", "pm_value", "population", "res_global"):
             state[key] = merge_scalar(key)
-        def merge_plr_csr(field: str) -> tuple:
-            segs = []
-            counts = np.empty(g, dtype=np.int64)
-            for u, (st, i) in enumerate(src):
-                plr = st["reg_plr"]
-                off = plr["koffsets"]
-                seg = plr[field][off[i]:off[i + 1]]
-                segs.append(seg)
-                counts[u] = seg.shape[0]
-            data = np.concatenate(segs) if segs else np.empty(0)
-            return data, np.concatenate(([0], np.cumsum(counts)))
 
         mode = m["reg_mode"]
         if mode == "plr":
-            knots, koffsets = merge_plr_csr("knots")
-            hinge, _ = merge_plr_csr("hinge")
+            knots, koffsets = merge_csr("knots", "koffsets", "reg_plr")
+            hinge, _ = merge_csr("hinge", "koffsets", "reg_plr")
             affine = np.empty((g, 2))
             affine[old_dest] = m["reg_plr"]["affine"][take[old_dest]]
             affine[new_dest] = mini["reg_plr"]["affine"][take[new_dest]]
@@ -447,9 +440,7 @@ class BatchedGroupEvaluator:
         # built by _derive_model_arrays, whose outputs are per-group
         # segments/scalars) — re-deriving would walk every group again,
         # defeating the O(dirty) splice.
-        state["counts"] = np.diff(state["coffsets"])
         state["inv_h"] = 1.0 / state["h"]
-        state["inv_h_rep"] = np.repeat(state["inv_h"], state["counts"])
         aug_centre_over_h, aug_offsets = merge_csr(
             "aug_centre_over_h", "aug_offsets"
         )
@@ -534,42 +525,32 @@ class BatchedGroupEvaluator:
 
     @staticmethod
     def _derive_model_arrays(state: dict) -> None:
-        """Precompute per-centre expansions the hot loops need."""
-        counts = np.diff(state["coffsets"])
-        state["counts"] = counts
+        """Fold boundary reflection into one plain mixture per group.
+
+        Mirroring kernels at the support edges equals adding centres
+        ``2lo - c`` and ``2hi - c`` with the same weights; laid out as
+        ``[2lo - c[::-1], c, 2hi - c[::-1]]``, ascending centres stay so.
+        """
         inv_h = 1.0 / state["h"]
         state["inv_h"] = inv_h
-        state["inv_h_rep"] = np.repeat(inv_h, counts)
-        # Boundary reflection folded into the mixture: mirroring kernels
-        # at the support edges equals adding mirrored centres 2*lo - c and
-        # 2*hi - c with the same weights, so the moment kernel sees one
-        # plain mixture per group; groups without reflection keep their
-        # plain centres.  (The analytic CDF keeps the original centres —
-        # the scalar path's four-C formula is replicated exactly.)
-        aug_centres, aug_weights, aug_counts = [], [], []
+        aug_centres, aug_weights = [], []
         offsets = state["coffsets"]
-        reflect = state["reflect"]
-        for g in range(counts.shape[0]):
-            seg = slice(offsets[g], offsets[g + 1])
-            c = state["centres"][seg]
-            w = state["cweights"][seg]
-            if reflect[g]:
+        for g in range(offsets.shape[0] - 1):
+            c = state["centres"][offsets[g]:offsets[g + 1]]
+            w = state["cweights"][offsets[g]:offsets[g + 1]]
+            if state["reflect"][g]:
                 lo, hi = state["sup_lo"][g], state["sup_hi"][g]
-                aug_centres.append(
-                    np.concatenate([c, 2.0 * lo - c, 2.0 * hi - c])
-                )
-                aug_weights.append(np.concatenate([w, w, w]))
-                aug_counts.append(3 * c.size)
-            else:
-                aug_centres.append(c)
-                aug_weights.append(w)
-                aug_counts.append(c.size)
-        aug_counts = np.asarray(aug_counts, dtype=np.int64)
+                c = np.concatenate([2.0 * lo - c[::-1], c, 2.0 * hi - c[::-1]])
+                w = np.concatenate([w[::-1], w, w[::-1]])
+            aug_centres.append(c)
+            aug_weights.append(w)
+        aug_counts = np.asarray([c.size for c in aug_centres], dtype=np.int64)
         state["aug_counts"] = aug_counts
         state["aug_offsets"] = np.concatenate(([0], np.cumsum(aug_counts)))
-        inv_h_aug = np.repeat(inv_h, aug_counts)
         # Centres in bandwidth units (see _unit_mixtures).
-        state["aug_centre_over_h"] = np.concatenate(aug_centres) * inv_h_aug
+        state["aug_centre_over_h"] = np.concatenate(aug_centres) * np.repeat(
+            inv_h, aug_counts
+        )
         state["aug_weights"] = np.concatenate(aug_weights)
 
     @classmethod
@@ -915,9 +896,7 @@ class BatchedGroupEvaluator:
             # bit-identical (plain contiguous slices) and, on a mapped
             # state, the parts stay zero-copy views of the same pages.
             a0, a1 = state["aug_offsets"][g0], state["aug_offsets"][g1]
-            part["counts"] = state["counts"][g0:g1]
             part["inv_h"] = state["inv_h"][g0:g1]
-            part["inv_h_rep"] = state["inv_h_rep"][c0:c1]
             part["aug_counts"] = state["aug_counts"][g0:g1]
             part["aug_offsets"] = state["aug_offsets"][g0:g1 + 1] - a0
             part["aug_centre_over_h"] = state["aug_centre_over_h"][a0:a1]
@@ -1097,54 +1076,25 @@ class BatchedGroupEvaluator:
         g = len(state["values"])
         return np.full(g, float(lb)), np.full(g, float(ub))
 
-    # -- analytic CDF machinery ---------------------------------------------
-
-    def _mixture_cdf_at(self, t: np.ndarray) -> np.ndarray:
-        """Unreflected mixture CDF of each group at its own point ``t``."""
-        state = self._m
-        t_rep = np.repeat(t, state["counts"])
-        legs = ndtr((t_rep - state["centres"]) * state["inv_h_rep"])
-        legs *= state["cweights"]
-        return _segment_sum(legs, state["coffsets"])
-
-    def _cdf_at(self, t: np.ndarray) -> np.ndarray:
-        """Analytic CDF of each group at its own point (reflection-aware)."""
-        state = self._m
-        lo, hi = state["sup_lo"], state["sup_hi"]
-        clipped = np.clip(t, lo, hi)
-        use_reflect = state["reflect"]
-        base = np.where(use_reflect, clipped, t)
-        raw = self._mixture_cdf_at(base)
-        if use_reflect.any():
-            reflected = (
-                raw
-                - self._mixture_cdf_at(2.0 * lo - clipped)
-                + self._mixture_cdf_at(2.0 * hi - lo)
-                - self._mixture_cdf_at(2.0 * hi - clipped)
-            )
-            raw = np.where(use_reflect, reflected, raw)
-        pm = state["pm_mask"]
-        if pm.any():
-            raw = np.where(pm, (t >= state["pm_value"]).astype(np.float64), raw)
-        return raw
-
     def _count(
         self, lb: np.ndarray, ub: np.ndarray, mass: np.ndarray | None = None
     ) -> np.ndarray:
         """COUNT = population * clipped mixture mass, all groups at once.
 
-        ``mass`` is the per-group ``∫D`` when the caller already holds
-        it; point-mass groups keep their inclusive rule either way.
+        The mass is ``M0(tb) - M0(ta)`` at the clipped ends, or ``mass``
+        (the per-group ``∫D``) when the caller already holds it;
+        point-mass groups keep their inclusive rule either way.
         """
         state = self._m
         a = np.maximum(lb, state["sup_lo"])
         b = np.minimum(ub, state["sup_hi"])
         nonempty = b > a
         pm = state["pm_mask"]
-        frac = np.zeros(len(state["values"]))
         if mass is None:
-            mass = self._cdf_at(b) - self._cdf_at(a)
-        frac = np.where(nonempty & ~pm, np.maximum(mass, 0.0), frac)
+            g = a.shape[0]
+            ends = self._mass_below(np.concatenate([a, b]), np.tile(np.arange(g), 2))
+            mass = ends[g:] - ends[:g]
+        frac = np.where(nonempty & ~pm, np.maximum(mass, 0.0), 0.0)
         pm_hit = (
             nonempty & pm
             & (a <= state["pm_value"]) & (state["pm_value"] <= b)
@@ -1245,27 +1195,42 @@ class BatchedGroupEvaluator:
     def _unit_mixtures(self) -> dict:
         """Every group's mixture in its unit-bandwidth coordinate.
 
-        ``u = (x - x0) / h`` with ``x0`` the support midpoint; ``g``
-        are the (mirrored-in) centres in that coordinate, flat over
-        ``aug_offsets``.
+        ``u = (x - x0) / h`` with ``x0`` the support midpoint; ``g`` /
+        ``w`` are the (mirrored-in) centres and weights, flat over
+        ``aug_offsets``, ascending within each group — a state stacked
+        from an older pickle or store's unsorted centres is sorted here.
         """
         unit = self._pieces.get("unit")
         if unit is None:
             state = self._m
             x0 = 0.5 * (state["sup_lo"] + state["sup_hi"])
-            unit = self._pieces["unit"] = {
-                "x0": x0,
-                "g": state["aug_centre_over_h"]
-                - np.repeat(x0 * state["inv_h"], state["aug_counts"]),
-            }
+            counts = state["aug_counts"]
+            g = state["aug_centre_over_h"] - np.repeat(x0 * state["inv_h"], counts)
+            w = state["aug_weights"]
+            down = g[1:] < g[:-1]
+            down[state["aug_offsets"][1:-1] - 1] = False  # group boundaries
+            if down.any():
+                order = np.lexsort((g, np.repeat(np.arange(counts.shape[0]), counts)))
+                g, w = g[order], w[order]
+            unit = self._pieces["unit"] = {"x0": x0, "g": g, "w": w}
         return unit
 
-    def _cumulative_moments(self, group: np.ndarray, t: np.ndarray) -> np.ndarray:
-        state = self._m
+    def _cumulative_moments(
+        self, group: np.ndarray, t: np.ndarray, degree: int = 2
+    ) -> np.ndarray:
+        unit = self._unit_mixtures()
         return cumulative_moments(
-            self._unit_mixtures()["g"], state["aug_weights"],
-            state["aug_offsets"], group, t,
+            unit["g"], unit["w"], self._m["aug_offsets"], group, t, degree
         )
+
+    def _mass_below(self, t: np.ndarray, groups: np.ndarray) -> np.ndarray:
+        """Each group's mixture ``M0`` at its own point ``t``: differences
+        are the KDE's mass between points (a point mass is a unit step)."""
+        state = self._m
+        u = (t - self._unit_mixtures()["x0"][groups]) * state["inv_h"][groups]
+        m0 = self._cumulative_moments(groups, u, degree=0)[:, 0]
+        step = (t >= state["pm_value"][groups]).astype(np.float64)
+        return np.where(state["pm_mask"][groups], step, m0)
 
     def _range_ends(self, active: np.ndarray, a: np.ndarray, b: np.ndarray) -> dict:
         """Cumulative moments at both clipped ends of each active group."""
@@ -1519,7 +1484,7 @@ class BatchedGroupEvaluator:
         lb: np.ndarray,
         ub: np.ndarray,
     ) -> np.ndarray:
-        """All groups' bisections in lock-step (mirrors integrate.bisect)."""
+        """All groups' bisections in lock-step (``integrate.bisect_many``)."""
         state = self._m
         if not 0.0 < p < 1.0:
             raise InvalidParameterError(
@@ -1535,54 +1500,18 @@ class BatchedGroupEvaluator:
             raise InvalidParameterError(
                 f"integration bounds reversed: [{lo[bad]}, {hi[bad]}]"
             )
-        pm = state["pm_mask"]
-        base = self._cdf_at(lo)
-        total = self._cdf_at(hi) - base
+        every = np.arange(lo.shape[0])
+        base = self._mass_below(lo, every)
+        total = self._mass_below(hi, every) - base
         pm_inside = (lo <= state["pm_value"]) & (state["pm_value"] <= hi)
-        total = np.where(pm, pm_inside.astype(np.float64), total)
-        result = np.full(len(state["values"]), np.nan)
-        alive = total > _EMPTY_DENSITY
-        if not alive.any():
-            return result
-
-        def objective(t: np.ndarray) -> np.ndarray:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                return (self._cdf_at(t) - base) / total - p
-
-        f_lo = objective(lo)
-        f_hi = objective(hi)
-        done = ~alive
-        hit_lo = alive & (f_lo == 0.0)
-        result[hit_lo] = lo[hit_lo]
-        done |= hit_lo
-        hit_hi = alive & ~done & (f_hi == 0.0)
-        result[hit_hi] = hi[hit_hi]
-        done |= hit_hi
-        bad = alive & ~done & ((f_lo > 0) == (f_hi > 0))
-        if bad.any():
-            g = int(np.flatnonzero(bad)[0])
-            raise QueryExecutionError(
-                f"bisection interval [{lo[g]}, {hi[g]}] does not bracket a "
-                f"root (f(lo)={f_lo[g]:.3g}, f(hi)={f_hi[g]:.3g})"
-            )
-        tol = 1e-9
-        for _ in range(200):
-            open_mask = alive & ~done
-            if not open_mask.any():
-                break
-            mid = 0.5 * (lo + hi)
-            f_mid = objective(mid)
-            newly = open_mask & ((f_mid == 0.0) | ((hi - lo) < tol))
-            result[newly] = mid[newly]
-            done |= newly
-            open_mask &= ~newly
-            same_sign = (f_mid > 0) == (f_hi > 0)
-            shrink_hi = open_mask & same_sign
-            hi = np.where(shrink_hi, mid, hi)
-            f_hi = np.where(shrink_hi, f_mid, f_hi)
-            lo = np.where(open_mask & ~same_sign, mid, lo)
-        leftover = alive & ~done
-        result[leftover] = 0.5 * (lo[leftover] + hi[leftover])
+        total = np.where(state["pm_mask"], pm_inside.astype(np.float64), total)
+        result = np.full(lo.shape[0], np.nan)
+        alive = np.flatnonzero(total > _EMPTY_DENSITY)
+        base, total = base[alive], total[alive]
+        result[alive] = bisect_many(
+            lambda t: (self._mass_below(t, alive) - base) / total - p,
+            lo[alive], hi[alive], tol=1e-9,
+        )
         return result
 
     # -- multivariate model groups ------------------------------------------
@@ -1983,15 +1912,4 @@ def _chunk_by_budget(sizes: np.ndarray, budget: int) -> np.ndarray:
 
 def _csr_take_rows(offsets: np.ndarray, groups: np.ndarray) -> np.ndarray:
     """Flat row indices of the given (possibly non-contiguous) CSR groups."""
-    counts = np.diff(offsets)[groups]
-    starts = offsets[:-1][groups]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    # Runs of consecutive indices: start each run with a jump from the
-    # previous run's last index, fill with +1 steps, and cumsum.
-    out = np.ones(total, dtype=np.int64)
-    ends = np.cumsum(counts)
-    out[0] = starts[0]
-    out[ends[:-1]] = starts[1:] - (starts[:-1] + counts[:-1] - 1)
-    return np.cumsum(out)
+    return gather_ranges(offsets[:-1][groups], offsets[1:][groups])[2]

@@ -376,8 +376,11 @@ def _fit_densities(
             centres_list.append(centres_2d[b][keep])
             weights_list.append(weights_2d[b][keep])
         else:
+            # Ascending, as KDE.fit stores them.
             seg = slice(starts[g], starts[g] + counts[g])
-            centres_list.append(xs[seg].copy())
+            centres_list.append(
+                np.sort(xs[seg]) if xs_sorted is None else xs_sorted[seg].copy()
+            )
             weights_list.append(flat_weights[seg].copy())
     return {
         "centres": centres_list,

@@ -21,7 +21,7 @@ from repro.errors import (
 from repro.integrate import (
     adaptive_quad,
     affine_piece_integrals,
-    bisect,
+    bisect_many,
     cumulative_moments,
     simpson_grid,
 )
@@ -305,7 +305,7 @@ class ColumnSetModel:
     def _fraction_1d(
         self, lb: float, ub: float, mass: float | None = None
     ) -> float:
-        """``∫ D(x) dx`` over the (clipped) query range.
+        """``∫ D(x) dx`` over the (clipped) query range: ``M0(ub) - M0(lb)``.
 
         ``mass`` is that integral when the caller already holds it (the
         ``∫D`` of :meth:`_closed_form_moments_1d`); a constant
@@ -318,8 +318,11 @@ class ColumnSetModel:
             return max(
                 0.0, adaptive_quad(lambda t: float(self.density.pdf(t)[0]), lb, ub)
             )
-        if mass is None or getattr(self.density, "_point_mass", None) is not None:
-            mass = self.density.integrate(lb, ub)
+        if getattr(self.density, "_point_mass", None) is not None:
+            return self.density.integrate(lb, ub)
+        if mass is None:
+            base, top = self._mass_below(np.asarray([lb, ub]))
+            mass = top - base
         return max(0.0, mass)
 
     # -- closed form (repro.integrate.moments) ------------------------------
@@ -345,7 +348,8 @@ class ColumnSetModel:
         return pieces[key]
 
     def _unit_mixture(self) -> dict:
-        """The KDE in its unit-bandwidth coordinate ``u = (x - x0) / h``."""
+        """The KDE in its unit-bandwidth coordinate ``u = (x - x0) / h``,
+        laid out and sorted as in the batched evaluator."""
 
         def build() -> dict:
             mix = self.density.export_mixture()
@@ -353,25 +357,36 @@ class ColumnSetModel:
             centres, weights = mix.centres, mix.weights
             if mix.reflect:
                 centres = np.concatenate(
-                    [centres, 2.0 * lo - centres, 2.0 * hi - centres]
+                    [2.0 * lo - centres[::-1], centres, 2.0 * hi - centres[::-1]]
                 )
-                weights = np.concatenate([weights, weights, weights])
+                weights = np.concatenate([weights[::-1], weights, weights[::-1]])
             x0 = 0.5 * (lo + hi)
             inv_h = 1.0 / mix.h
+            g = centres * inv_h - x0 * inv_h
+            if (g[1:] < g[:-1]).any():
+                order = np.argsort(g, kind="stable")
+                g, weights = g[order], weights[order]
             return {
-                "x0": x0, "inv_h": inv_h, "w": weights,
-                "g": centres * inv_h - x0 * inv_h,
+                "x0": x0, "inv_h": inv_h, "w": weights, "g": g,
                 "offsets": np.asarray([0, weights.shape[0]]),
             }
 
         return self._table("unit", build)
 
-    def _cumulative(self, t: np.ndarray) -> np.ndarray:
+    def _cumulative(self, u: np.ndarray, degree: int = 2) -> np.ndarray:
         unit = self._unit_mixture()
         return cumulative_moments(
             unit["g"], unit["w"], unit["offsets"],
-            np.zeros(t.shape[0], dtype=np.intp), t,
+            np.zeros(u.shape[0], dtype=np.intp), u, degree,
         )
+
+    def _mass_below(self, x: np.ndarray) -> np.ndarray:
+        """``M0`` at points ``x``, whose differences are the KDE's mass."""
+        point = getattr(self.density, "_point_mass", None)
+        if point is not None:
+            return (x >= point).astype(np.float64)
+        unit = self._unit_mixture()
+        return self._cumulative((x - unit["x0"]) * unit["inv_h"], degree=0)[:, 0]
 
     def _piece_table(self, breaks: np.ndarray, **coefficients) -> dict:
         """Breakpoints (unit coordinates) plus per-piece coefficients.
@@ -610,8 +625,8 @@ class ColumnSetModel:
         Where the moment integrals are closed-form (1-D, every regressor
         the engine builds) COUNT's mass is the ``∫D`` AVG already
         divides by; regressors without pieces and multivariate boxes
-        take COUNT from the analytic mixture CDF and AVG from the
-        Simpson grid.  Either way SUM = COUNT × AVG is an exact identity.
+        take COUNT from its own mass and AVG from the Simpson grid.
+        Either way SUM = COUNT × AVG is an exact identity.
         """
         bounds = self._normalise_ranges(ranges)[0]
         table = self._moment_table(True, *bounds)
@@ -705,15 +720,18 @@ class ColumnSetModel:
         if ranges:
             (lb, ub) = self._normalise_ranges(ranges)[0]
             lo, hi = max(lo, lb), min(hi, ub)
-        total = self.density.integrate(lo, hi)
+        if hi < lo:
+            raise InvalidParameterError(f"integration bounds reversed: [{lo}, {hi}]")
+        base, top = self._mass_below(np.asarray([lo, hi]))
+        total = top - base
+        if getattr(self.density, "_point_mass", None) is not None:
+            total = self.density.integrate(lo, hi)  # BETWEEN is inclusive
         if total <= _EMPTY_DENSITY:
             return float("nan")
-        base = float(self.density.cdf(np.asarray([lo]))[0])
-
-        def objective(t: float) -> float:
-            return (float(self.density.cdf(np.asarray([t]))[0]) - base) / total - p
-
-        return bisect(objective, lo, hi, tol=1e-9)
+        root = bisect_many(
+            lambda t: (self._mass_below(t) - base) / total - p, [lo], [hi], tol=1e-9
+        )
+        return float(root[0])
 
     def _moments(
         self, ranges: dict[str, tuple[float, float]], use_regressor: bool

@@ -21,12 +21,13 @@ from repro.integrate.quadrature import (
     simpson_integrate,
     simpson_weights,
 )
-from repro.integrate.roots import bisect
+from repro.integrate.roots import bisect, bisect_many
 
 __all__ = [
     "adaptive_quad",
     "affine_piece_integrals",
     "bisect",
+    "bisect_many",
     "cumulative_moments",
     "integrate_product",
     "ordered_sum",

@@ -30,10 +30,11 @@ class MixtureState(NamedTuple):
     """Flat, immutable view of a fitted 1-D KDE for batch evaluators.
 
     ``centres`` / ``weights`` define the Gaussian mixture, ``h`` its
-    common bandwidth.  ``support`` is the interval outside which the
-    density is treated as zero (``reflect``) or negligible.  When
-    ``point_mass`` is not None the column was constant and the whole
-    distribution is a unit mass at that value.
+    common bandwidth; a fit stores ``centres`` ascending (an older
+    pickle may not, so consumers check).  ``support`` is the interval
+    outside which the density is treated as zero (``reflect``) or
+    negligible.  When ``point_mass`` is not None the column was constant
+    and the whole distribution is a unit mass at that value.
     """
 
     centres: np.ndarray
@@ -158,7 +159,7 @@ class KernelDensityEstimator:
             self._centres = centres[keep]
             self._weights = counts[keep].astype(np.float64) / x.size
         else:
-            self._centres = x.copy()
+            self._centres = np.sort(x)
             self._weights = np.full(x.size, 1.0 / x.size)
 
         lo, hi = float(x.min()), float(x.max())
@@ -325,29 +326,6 @@ class KernelDensityEstimator:
             return 1.0 if lb <= self._point_mass <= ub else 0.0
         values = self.cdf(np.asarray([lb, ub]))
         return float(values[1] - values[0])
-
-    def integrate_many(self, lbs: np.ndarray, ubs: np.ndarray) -> np.ndarray:
-        """``∫ D(x) dx`` over many intervals in one vectorised pass.
-
-        Evaluates the analytic CDF once at all lower and upper bounds
-        instead of making one :meth:`integrate` round-trip per interval —
-        the building block batched group-by evaluation is made of.
-        """
-        self._require_fitted()
-        lbs = np.atleast_1d(np.asarray(lbs, dtype=np.float64))
-        ubs = np.atleast_1d(np.asarray(ubs, dtype=np.float64))
-        if lbs.shape != ubs.shape:
-            raise InvalidParameterError(
-                f"interval bounds differ in shape: {lbs.shape} vs {ubs.shape}"
-            )
-        if np.any(ubs < lbs):
-            raise InvalidParameterError("integrate_many got a reversed interval")
-        if getattr(self, "_point_mass", None) is not None:
-            inside = (lbs <= self._point_mass) & (self._point_mass <= ubs)
-            return inside.astype(np.float64)
-        bounds = np.concatenate([lbs, ubs])
-        values = self.cdf(bounds)
-        return values[lbs.size:] - values[: lbs.size]
 
     def export_mixture(self) -> MixtureState:
         """Flat mixture parameters for stacking into batched evaluators.

@@ -309,24 +309,6 @@ class TestBatchExportHooks:
         assert mix.reflect is True
         assert mix.point_mass is None
 
-    def test_kde_integrate_many(self):
-        kde = KernelDensityEstimator().fit(
-            np.random.default_rng(1).uniform(0.0, 10.0, 800)
-        )
-        lbs = np.asarray([1.0, 2.0, 8.0])
-        ubs = np.asarray([3.0, 2.0, 11.0])
-        many = kde.integrate_many(lbs, ubs)
-        single = [kde.integrate(lb, ub) for lb, ub in zip(lbs, ubs)]
-        np.testing.assert_allclose(many, single, rtol=1e-12, atol=1e-15)
-        with pytest.raises(InvalidParameterError):
-            kde.integrate_many(np.asarray([2.0]), np.asarray([1.0]))
-
-    def test_kde_integrate_many_point_mass(self):
-        kde = KernelDensityEstimator().fit(np.full(100, 5.0))
-        out = kde.integrate_many([4.0, 6.0], [4.5, 7.0])
-        np.testing.assert_array_equal(out, [0.0, 0.0])
-        np.testing.assert_array_equal(kde.integrate_many([4.0], [5.0]), [1.0])
-
     def test_simpson_weights_cached_and_readonly(self):
         first = simpson_weights(65)
         second = simpson_weights(65)

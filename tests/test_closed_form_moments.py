@@ -22,6 +22,11 @@ Three bars, for every regressor the engine builds (``linear``, ``plr``,
   fresh evaluator, a well-used one, a ``from_mapped`` one and a
   pickled-and-restored one, and from a fresh or a well-used scalar
   model, whose pickle never carries its derived tables.
+
+The kernel only evaluates centres within ``_WINDOW`` bandwidths of a
+point, so it is also held to an every-centre sum; COUNT and PERCENTILE,
+which read its mass, to the KDE's four-leg CDF; and centres stored in an
+older pickle's (unsorted) order must give the same bits.
 """
 
 from __future__ import annotations
@@ -32,17 +37,21 @@ import pickle
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
-from repro.core import DBEstConfig, GroupByModelSet
+from repro.core import DBEstConfig, GroupByModelSet, ModelKey, answer_aggregate
 from repro.core.batched import BatchedGroupEvaluator
 from repro.core.model import ColumnSetModel
 from repro.integrate import (
     affine_piece_integrals,
+    bisect,
     cumulative_moments,
     simpson_grid,
 )
+from repro.integrate.moments import _WINDOW, _window
 from repro.ml.ensemble import EnsembleRegressor
 from repro.ml.kde import KernelDensityEstimator
+from repro.serve import ModelStore
 from repro.sql.ast import AggregateCall
 
 REFERENCE_NODES = 4097
@@ -53,11 +62,40 @@ REFERENCE_RTOL = 1e-9
 
 
 def _two_mixtures():
+    """Two groups, centres ascending within each (the kernel's contract)."""
     rng = np.random.default_rng(0)
     sizes = (37, 90)
-    g = np.concatenate([rng.normal(0.0, 6.0, n) for n in sizes])
+    g = np.concatenate([np.sort(rng.normal(0.0, 6.0, n)) for n in sizes])
     w = np.concatenate([rng.dirichlet(np.ones(n)) for n in sizes])
     return g, w, np.asarray([0, sizes[0], sum(sizes)])
+
+
+def _edge_mixtures():
+    """:func:`_two_mixtures` plus a one-centre group and a group with a
+    gap wider than two windows around 0."""
+    g, w, offsets = _two_mixtures()
+    gap = np.asarray([-31.0, -30.0, -29.5, 29.0, 30.0])
+    return (
+        np.concatenate([g, [1.5], gap]),
+        np.concatenate([w, [1.0], np.full(gap.size, 0.2)]),
+        np.concatenate([offsets, offsets[-1] + np.asarray([1, 1 + gap.size])]),
+    )
+
+
+def _unwindowed(g, w, offsets, group, t) -> np.ndarray:
+    """The kernel with every centre evaluated: the sums the window must
+    reproduce."""
+    out = np.empty((group.shape[0], 3))
+    for p, (k, tp) in enumerate(zip(group.tolist(), t.tolist())):
+        gi, wi = g[offsets[k]:offsets[k + 1]], w[offsets[k]:offsets[k + 1]]
+        z = tp - gi
+        cdf, pdf = ndtr(z), np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        out[p] = (
+            wi @ cdf,
+            wi @ (gi * cdf - pdf),
+            wi @ ((gi * gi + 1.0) * cdf - (tp + gi) * pdf),
+        )
+    return out
 
 
 class TestCumulativeMoments:
@@ -90,13 +128,21 @@ class TestCumulativeMoments:
 
     def test_a_pair_has_the_same_bits_alone_or_in_any_batch(self):
         """Memoised values can stand in for fresh ones: each pair reduces
-        over its own group's rows only, whatever else is in the call."""
+        over its own group's rows only, whatever else is in the call —
+        and finds its window by position inside them, by ``searchsorted``
+        alone and by the lock-step search in a mixed batch."""
         g, w, offsets = _two_mixtures()
         rng = np.random.default_rng(1)
         group = rng.integers(0, 2, size=40)
         t = rng.normal(0.0, 5.0, size=40)
+        start = offsets[:-1][group]
+        first, last = _window(g, start, offsets[1:][group], t)
+        assert np.unique(first - start).size >= 10
+        assert np.unique(last - first).size >= 10
         batch = cumulative_moments(g, w, offsets, group, t)
-        for p in (0, 7, 39):
+        mass = cumulative_moments(g, w, offsets, group, t, degree=0)
+        np.testing.assert_array_equal(mass[:, 0], batch[:, 0])
+        for p in range(40):
             alone = cumulative_moments(g, w, offsets, group[p:p + 1], t[p:p + 1])
             np.testing.assert_array_equal(alone[0], batch[p])
         # ... and on a slice of the stacked arrays (what split() hands out).
@@ -106,6 +152,43 @@ class TestCumulativeMoments:
             np.zeros(int(second.sum()), dtype=np.intp), t[second],
         )
         np.testing.assert_array_equal(sliced, batch[second])
+
+    def test_window_matches_the_full_sum(self):
+        """Centres beyond ``_WINDOW`` bandwidths are summed as constants.
+
+        ``M0`` matches the every-centre sum to 1e-13 relative, or within
+        the ``Φ(-9)·Σw`` of tail mass the window drops where ``M0`` is
+        itself that small; ``M1`` / ``M2`` to 1e-13 x ``Σw(g² + 1)``.
+        """
+        g, w, offsets = _edge_mixtures()
+        group, t = [], []
+        for k in range(offsets.shape[0] - 1):
+            gk = g[offsets[k]:offsets[k + 1]]
+            mid = gk[gk.size // 2]
+            probes = [
+                gk[0] - 40.0, gk[-1] + 40.0,              # far left / right
+                gk[0] - _WINDOW, gk[-1] + _WINDOW,        # on an edge
+                mid - _WINDOW, mid + _WINDOW, mid, 0.0,
+            ]
+            group += [k] * len(probes)
+            t += probes
+        group, t = np.asarray(group), np.asarray(t)
+        first, last = _window(g, offsets[:-1][group], offsets[1:][group], t)
+        assert (first == last).sum() >= 6          # empty windows
+        gap = group == offsets.shape[0] - 2
+        assert ((first == last) & gap & (t == 0.0)).any()  # centres both sides
+        got = cumulative_moments(g, w, offsets, group, t)
+        want = _unwindowed(g, w, offsets, group, t)
+        total = np.add.reduceat(w, offsets[:-1])[group]
+        scale = np.add.reduceat(w * (g * g + 1.0), offsets[:-1])[group]
+        assert np.all(
+            np.abs(got[:, 0] - want[:, 0])
+            <= np.maximum(1e-13 * want[:, 0], ndtr(-_WINDOW) * total)
+        )
+        assert np.all(np.abs(got[:, 1:] - want[:, 1:]) <= 1e-13 * scale[:, None])
+        np.testing.assert_array_equal(
+            cumulative_moments(g, w, offsets, group, t, degree=0)[:, 0], got[:, 0]
+        )
 
     def test_no_pairs(self):
         g, w, offsets = _two_mixtures()
@@ -327,6 +410,21 @@ def assert_parity(batched: dict, scalar: dict) -> None:
             )
 
 
+def _four_leg_percentile(model: ColumnSetModel, p: float, ranges: dict) -> float:
+    """PERCENTILE by bisecting the KDE's own reflected four-leg CDF."""
+    density = model.density
+    lo, hi = density.support
+    if ranges:
+        lb, ub = model._normalise_ranges(ranges)[0]
+        lo, hi = max(lo, lb), min(hi, ub)
+    total = density.integrate(lo, hi)
+    base = density.cdf(np.asarray([lo]))[0]
+    return bisect(
+        lambda t: (density.cdf(np.asarray([t]))[0] - base) / total - p,
+        lo, hi, tol=1e-9,
+    )
+
+
 def same_bits(left: dict, right: dict) -> bool:
     """``==`` on every group, NaN equal to NaN."""
     return left.keys() == right.keys() and all(
@@ -463,6 +561,37 @@ class TestBatchedScalarParity:
         for key in total:
             assert total[key] == pytest.approx(count[key] * avg[key], rel=1e-12)
 
+    def test_count_is_the_four_leg_cdf_mass(self, model_set):
+        """COUNT reads ``M0`` over the mirrored centres: batched == scalar,
+        and both equal the KDE's reflected four-leg CDF difference, to
+        1e-12 relative."""
+        aggregate = AggregateCall("COUNT", "y")
+        for name, ranges in sweep_ranges(model_set).items():
+            batched = model_set.answer(aggregate, ranges, batched=True)
+            scalar = model_set.answer(aggregate, ranges, batched=False)
+            for value, model in model_set.models.items():
+                a, b = model._clip_1d(*model._normalise_ranges(ranges)[0])
+                mass = max(0.0, model.density.integrate(a, b)) if b > a else 0.0
+                old = model.population_size * mass
+                assert scalar[value] == pytest.approx(old, rel=1e-12), name
+                assert batched[value] == pytest.approx(scalar[value], rel=1e-12), name
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.93])
+    def test_percentile_moves_within_the_bisection_tolerance(self, p):
+        """PERCENTILE bisects ``M0``; against the four-leg CDF it moves by
+        no more than the bisection's own tolerance, 1e-9."""
+        model_set = trained_model_set("plr")
+        aggregate = AggregateCall("PERCENTILE", "x", p)
+        # Every range meets the point-mass group's support, or both
+        # paths refuse it.
+        for ranges in ({"x": (20.0, 60.0)}, {"x": (41.5, 43.0)}, {}):
+            batched = model_set.answer(aggregate, ranges, batched=True)
+            scalar = model_set.answer(aggregate, ranges, batched=False)
+            assert_parity(batched, scalar)
+            for value, model in model_set.models.items():
+                old = _four_leg_percentile(model, p, ranges)
+                assert abs(scalar[value] - old) <= 1e-9, (value, ranges)
+
     def test_ensemble_groups_pick_different_constituents(self):
         """The sweep holds bounds for which the groups of one ensemble set
         select different constituents - all three of them overall."""
@@ -586,3 +715,56 @@ class TestHistoryIndependence:
         assert pickle.dumps(model) == before
         assert model.size_bytes() == size
         assert "_pieces" not in pickle.loads(before).__dict__
+
+
+# -- centre order ----------------------------------------------------------------
+
+
+class TestLegacyCentreOrder:
+    """A fit stores each KDE's centres ascending; a set pickled before
+    that may hold them in sample order.  The kernel sorts such groups
+    once, on first use, and answers with the same bits."""
+
+    CALLS = (
+        ("COUNT", "y"), ("SUM", "y"), ("AVG", "x"), ("AVG", "y"),
+        ("VARIANCE", "y"), ("PERCENTILE", "x", 0.3),
+    )
+    RANGES = ({"x": (12.0, 57.0)}, {"x": (41.5, 43.0)}, {"x": (10.0, POINT_MASS_X)}, {})
+
+    @staticmethod
+    def _shuffled(model_set: GroupByModelSet) -> GroupByModelSet:
+        legacy = pickle.loads(pickle.dumps(model_set))
+        rng = np.random.default_rng(12)
+        for model in legacy.models.values():
+            kde = model.density
+            order = rng.permutation(kde._centres.size)
+            kde._centres, kde._weights = kde._centres[order], kde._weights[order]
+        return legacy
+
+    def test_shuffled_centres_answer_the_same(self, tmp_path):
+        model_set = trained_model_set("plr")
+        legacy = self._shuffled(model_set)
+        assert all(
+            np.all(np.diff(m.density._centres) >= 0)
+            for m in model_set.models.values()
+        )
+        assert sum(
+            np.any(np.diff(m.density._centres) < 0) for m in legacy.models.values()
+        ) == len(legacy.models) - 1            # all but the point mass
+        key = ModelKey.make("t", ("x",), "y", "g")
+        store = ModelStore.write({key: legacy}, tmp_path / "s", store_format="mmap")
+        evaluators = (
+            BatchedGroupEvaluator.build(model_set),
+            BatchedGroupEvaluator.build(legacy),
+            store.get(key).batched_evaluator(),
+        )
+        for call in self.CALLS:
+            aggregate = AggregateCall(*call)
+            for ranges in self.RANGES:
+                want, *others = (e.answer(aggregate, ranges) for e in evaluators)
+                for got in others:
+                    assert same_bits(want, got), (call, ranges)
+                for value, model in model_set.models.items():
+                    scalar = answer_aggregate(model, aggregate, ranges)
+                    again = answer_aggregate(legacy.models[value], aggregate, ranges)
+                    assert scalar == again or (math.isnan(scalar) and math.isnan(again))
