@@ -1,26 +1,55 @@
-"""Ablation: integration method — ``"simpson"`` vs adaptive QUADPACK.
+"""Ablation: integration method — the engine's closed form vs adaptive QUADPACK.
 
-The paper integrates with SciPy's QUADPACK (adaptive Gauss–Kronrod).  Our
-default, ``integration_method="simpson"``, takes every 1-D integral
-analytically (:mod:`repro.integrate.moments`): each regressor the engine
-builds is piecewise linear or constant, so its ``"simpson"`` leg *is* the
-closed form - sums of ``ndtr`` and ``exp`` at the range ends and the
-breakpoints (spline knots here, ``plr``; split thresholds for forests
-and ensembles) against many adaptive point-wise calls, with
-``integration_points`` having no effect.  The vectorised Simpson grid
-is left to multivariate boxes and regressors that export no pieces.
+The paper integrates with SciPy's QUADPACK (adaptive Gauss–Kronrod).
+The engine takes every 1-D integral analytically
+(:mod:`repro.integrate.moments`): each regressor it builds is piecewise
+linear or constant, so an answer is a sum of ``ndtr`` and ``exp`` terms
+at the range ends and the breakpoints (spline knots here, ``plr``; split
+thresholds for forests and ensembles), where QUADPACK makes many
+adaptive point-wise calls.  Both legs answer the same queries from the
+same trained model: the engine through ``DBEst.execute``, QUADPACK
+through :func:`repro.reference.answer`.  ``integration_points`` has no
+effect on a 1-D answer.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import time
+
 import pytest
 
 from benchmarks.conftest import SAMPLE_100K, make_dbest, write_figure
+from repro import reference
+from repro.core import QueryResult
 from repro.harness import run_workload
+from repro.sql import parse_query
+from repro.sql.ast import merged_ranges
 from repro.workloads import generate_range_queries
 
 PAIR = ("ss_list_price", "ss_wholesale_cost")
+SQL = (
+    "SELECT {}(ss_wholesale_cost) FROM store_sales "
+    "WHERE ss_list_price BETWEEN 10 AND 40;"
+)
+
+
+class QuadEngine:
+    """``execute`` that answers from a model by adaptive quadrature."""
+
+    def __init__(self, model) -> None:
+        self.model = model
+
+    def execute(self, sql: str) -> QueryResult:
+        query = parse_query(sql)
+        ranges = merged_ranges(query.ranges)
+        start = time.perf_counter()
+        values = {
+            str(call): reference.answer(self.model, call, ranges)
+            for call in query.aggregates
+        }
+        return QueryResult(
+            values=values, elapsed_seconds=time.perf_counter() - start, sql=sql
+        )
 
 
 @pytest.fixture(scope="module")
@@ -29,16 +58,14 @@ def ablation(store_sales, tpcds_truth):
         store_sales, [PAIR], n_per_aggregate=6, aggregates=("AVG", "SUM"),
         range_fraction=0.05, seed=137, anchor="data",
     )
+    engine = make_dbest(store_sales, regressor="plr", seed=13)
+    key = engine.build_model(
+        "store_sales", x=PAIR[0], y=PAIR[1], sample_size=SAMPLE_100K
+    )
+    engines = {"closed form": engine, "quad": QuadEngine(engine.catalog.get(key))}
     rows = []
-    engines = {}
-    for method in ("simpson", "quad"):
-        engine = make_dbest(
-            store_sales, regressor="plr", seed=13, integration_method=method
-        )
-        engine.build_model(
-            "store_sales", x=PAIR[0], y=PAIR[1], sample_size=SAMPLE_100K
-        )
-        run = run_workload(engine, workload, tpcds_truth, engine_name=method)
+    for method, leg in engines.items():
+        run = run_workload(leg, workload, tpcds_truth, engine_name=method)
         rows.append(
             {
                 "method": method,
@@ -47,54 +74,40 @@ def ablation(store_sales, tpcds_truth):
                 "mean_latency_s": run.mean_latency(),
             }
         )
-        engines[method] = engine
     write_figure(
         "Ablation integration", "closed form (plr) vs adaptive QUADPACK", rows,
-        notes="'simpson' on plr is the closed form; accuracies should agree "
-        "to ~1e-2 and it should be much faster",
+        notes="both legs answer from the same model; accuracies should "
+        "agree to ~1e-2 and the closed form should be much faster",
     )
-    return rows, engines
+    return {row["method"]: row for row in rows}, engines
 
 
 def test_methods_agree(benchmark, ablation):
-    rows, engines = ablation
-    by_method = {r["method"]: r for r in rows}
-    assert by_method["simpson"]["AVG_error"] == pytest.approx(
+    by_method, engines = ablation
+    assert by_method["closed form"]["AVG_error"] == pytest.approx(
         by_method["quad"]["AVG_error"], abs=0.02
     )
-    sql = (
-        "SELECT AVG(ss_wholesale_cost) FROM store_sales "
-        "WHERE ss_list_price BETWEEN 10 AND 40;"
-    )
-    benchmark(engines["simpson"].execute, sql)
+    benchmark(engines["closed form"].execute, SQL.format("AVG"))
 
 
-def test_simpson_faster(benchmark, ablation):
-    rows, engines = ablation
-    by_method = {r["method"]: r for r in rows}
+def test_closed_form_faster(benchmark, ablation):
+    by_method, engines = ablation
     assert (
-        by_method["simpson"]["mean_latency_s"]
+        by_method["closed form"]["mean_latency_s"]
         <= by_method["quad"]["mean_latency_s"]
     )
-    sql = (
-        "SELECT AVG(ss_wholesale_cost) FROM store_sales "
-        "WHERE ss_list_price BETWEEN 10 AND 40;"
-    )
-    benchmark(engines["quad"].execute, sql)
+    benchmark(engines["quad"].execute, SQL.format("AVG"))
 
 
-def test_count_identical_between_methods(benchmark, ablation):
-    """COUNT uses the analytic CDF under simpson and quadrature under quad;
-    both must agree closely."""
-    _rows, engines = ablation
-    sql = (
-        "SELECT COUNT(ss_wholesale_cost) FROM store_sales "
-        "WHERE ss_list_price BETWEEN 10 AND 40;"
-    )
-    simpson = engines["simpson"].execute(sql).scalar()
+def test_count_agrees_between_methods(benchmark, ablation):
+    """COUNT is the closed-form CDF mass on one leg and a quadrature of
+    the pdf on the other; both must agree closely."""
+    _by_method, engines = ablation
+    sql = SQL.format("COUNT")
+    closed = engines["closed form"].execute(sql).scalar()
     quad = engines["quad"].execute(sql).scalar()
-    assert simpson == pytest.approx(quad, rel=0.02)
-    benchmark(engines["simpson"].execute, sql)
+    assert closed == pytest.approx(quad, rel=0.02)
+    benchmark(engines["closed form"].execute, sql)
 
 
 def test_grid_resolution_convergence(benchmark, store_sales, tpcds_truth):
@@ -107,11 +120,7 @@ def test_grid_resolution_convergence(benchmark, store_sales, tpcds_truth):
         engine.build_model(
             "store_sales", x=PAIR[0], y=PAIR[1], sample_size=SAMPLE_100K
         )
-        sql = (
-            "SELECT AVG(ss_wholesale_cost) FROM store_sales "
-            "WHERE ss_list_price BETWEEN 10 AND 40;"
-        )
-        answers[points] = engine.execute(sql).scalar()
+        answers[points] = engine.execute(SQL.format("AVG")).scalar()
         if points == 257:
-            benchmark(engine.execute, sql)
+            benchmark(engine.execute, SQL.format("AVG"))
     assert answers[65] == pytest.approx(answers[257], rel=0.01)

@@ -1,18 +1,17 @@
-"""Dispatch from parsed aggregate calls to column-set model methods.
+"""Dispatch from parsed aggregate calls to column-set models.
 
 Implements the paper's split between *density-based* aggregates (COUNT,
-PERCENTILE, and VARIANCE/STDDEV over the predicate column itself) and
-*regression-based* aggregates (SUM, AVG, and VARIANCE/STDDEV over the
-dependent column), choosing by which column the aggregate names.
+PERCENTILE, and AVG/VARIANCE/STDDEV over the predicate column itself) and
+*regression-based* aggregates (SUM, and AVG/VARIANCE/STDDEV over the
+dependent column), choosing by which column the aggregate names.  The
+choice is made once, in :class:`~repro.core.batched.BatchedGroupEvaluator`,
+for a single model and a GROUP BY set alike.
 """
 
 from __future__ import annotations
 
-from repro.core.model import ColumnSetModel
-from repro.errors import UnsupportedQueryError
+from repro.core.model import ColumnSetModel, Ranges
 from repro.sql.ast import AggregateCall
-
-Ranges = dict[str, tuple[float, float]]
 
 
 def answer_aggregate(
@@ -25,56 +24,4 @@ def answer_aggregate(
     ``ranges`` maps predicate column name to (lb, ub); columns of the
     model without an entry default to their full domain.
     """
-    func = aggregate.func
-    column = aggregate.column
-    on_x = column is not None and column in model.x_columns
-    on_y = column is not None and column == model.y_column
-
-    if func == "COUNT":
-        # COUNT(y), COUNT(x) and COUNT(*) all count rows in the range.
-        return model.count(ranges)
-
-    if func == "PERCENTILE":
-        if not on_x:
-            raise UnsupportedQueryError(
-                f"PERCENTILE must target the predicate column "
-                f"{model.x_columns}, got {column!r}"
-            )
-        return model.percentile(aggregate.parameter, ranges)
-
-    if func == "AVG":
-        if on_x:
-            return model.avg_x(ranges)
-        if on_y:
-            return model.avg(ranges)
-        raise UnsupportedQueryError(
-            f"AVG column {column!r} is neither the model's x nor y"
-        )
-
-    if func == "SUM":
-        if on_y:
-            return model.sum_(ranges)
-        raise UnsupportedQueryError(
-            f"SUM column {column!r} is not the model's dependent column "
-            f"({model.y_column!r})"
-        )
-
-    if func == "VARIANCE":
-        if on_x:
-            return model.variance_x(ranges)
-        if on_y:
-            return model.variance_y(ranges)
-        raise UnsupportedQueryError(
-            f"VARIANCE column {column!r} is neither the model's x nor y"
-        )
-
-    if func == "STDDEV":
-        if on_x:
-            return model.stddev_x(ranges)
-        if on_y:
-            return model.stddev_y(ranges)
-        raise UnsupportedQueryError(
-            f"STDDEV column {column!r} is neither the model's x nor y"
-        )
-
-    raise UnsupportedQueryError(f"unsupported aggregate {func!r}")
+    return model.answer(aggregate, ranges)

@@ -1,11 +1,10 @@
 """Batched evaluation: answer a GROUP BY aggregate for all groups at once.
 
-The scalar path in :mod:`repro.core.groupby` answers one group at a time
-— one Simpson grid, one KDE mixture pass, one regressor call per group —
-which is exactly the "many small Python calls" bottleneck the paper
-concedes in §4.7.  Profiling confirms it: for a typical 60-centre group
-the per-group ``pdf``/``predict``/``dot`` sequence spends ~85% of its
-time in numpy dispatch overhead, not floating-point work.
+Answering one group at a time — one KDE mixture pass, one regressor
+call per group — is exactly the "many small Python calls" bottleneck
+the paper concedes in §4.7.  This module is the only place the integrals
+of paper §2.3 are evaluated: a GROUP BY set stacks all its groups, and a
+single :class:`~repro.core.model.ColumnSetModel` answers as a set of one.
 
 Batched evaluation
 ==================
@@ -22,8 +21,7 @@ arrays at build time so a query touches each array once:
   ``exp``, no ``M1`` / ``M2``).
 * **Moment aggregates** (SUM/AVG/VARIANCE/STDDEV) integrate ``f·D`` and
   ``f²·D`` over each group's clipped range in closed form
-  (:mod:`repro.integrate.moments`), by the rule the scalar
-  :class:`~repro.core.model.ColumnSetModel` shares: ``f`` is the
+  (:mod:`repro.integrate.moments`): ``f`` is the
   identity or the group's regressor, piecewise linear against a
   Gaussian mixture, so the integrals are sums of ``ndtr`` and ``exp`` at
   the two range ends and the breakpoints inside — and ``E[Var(y|x)]`` is
@@ -45,7 +43,7 @@ arrays at build time so a query touches each array once:
 * **PERCENTILE** runs all groups' bisections in lock-step: each
   iteration evaluates the mass ``M0`` of every group's mirrored mixture
   at its own point in one windowed pass (the kernel's ``degree=0``
-  form, no ``exp``), by :func:`repro.integrate.bisect_many` like a scalar.
+  form, no ``exp``), by :func:`repro.integrate.bisect_many`.
 * **Multivariate predicates** stack the same way: all groups'
   product-kernel mixtures (:class:`~repro.ml.kde.MultivariateKDE`)
   concatenate into one ``(M, d)`` CSR centre array, box integrals
@@ -55,24 +53,23 @@ arrays at build time so a query touches each array once:
   box grid through one blocked product-kernel pdf pass with the
   per-group domain renormalisation folded into a single scale factor.
 
-Scalar fallback
-===============
+Sets that do not stack
+======================
 
-Multivariate sets are *not* a fallback condition: both 1-D and
-product-kernel model sets stack.  :meth:`BatchedGroupEvaluator.build`
-returns None — and ``GroupByModelSet.answer`` keeps the per-group loop —
-only when the set is genuinely not stackable:
-``integration_method="quad"``, non-uniform integration grids, a density
-that is not a fitted :class:`~repro.ml.kde.KernelDensityEstimator` /
+Both 1-D and product-kernel model sets stack.
+:meth:`BatchedGroupEvaluator.build` returns None only when a set is not
+stackable: non-uniform integration grids, a density that is not a fitted
+:class:`~repro.ml.kde.KernelDensityEstimator` /
 :class:`~repro.ml.kde.MultivariateKDE`, mixed presence of regressors, 1-D
-regressors that export no pieces (the scalar loop keeps its Simpson grid
-for those), or an empty raw group.  The scalar loop also remains the
-parity oracle in the test suite, and can be forced with
-``answer(..., batched=False)`` or ``DBEstConfig(batched_groupby=False)``.
-
-Parity: batched answers match the scalar loop to ~1e-12 relative (the
-test suite asserts 1e-9); differences come only from floating-point
-summation order.
+regressors that export no pieces, or an empty raw group.
+``GroupByModelSet.answer`` then loops over its groups, each a one-group
+evaluator of its own — and a model whose 1-D regressor exports no pieces
+refuses every query with an ``UnsupportedQueryError`` naming the class.
+The loop can be forced with ``answer(..., batched=False)`` or
+``DBEstConfig(batched_groupby=False)``; stacked and one-group answers
+differ only in floating-point summation order (the test suite asserts
+1e-9).  The test suite also holds them to grid and adaptive-quadrature
+oracles that no production module imports.
 """
 
 from __future__ import annotations
@@ -99,7 +96,7 @@ from repro.integrate import (
     ordered_sum,
     simpson_weights,
 )
-from repro.integrate.moments import gather_ranges
+from repro.integrate.moments import gather_ranges, left_terms
 from repro.ml.ensemble import EnsembleRegressor
 from repro.ml.kde import KernelDensityEstimator, MultivariateKDE
 from repro.obs import get_registry
@@ -216,9 +213,11 @@ class BatchedGroupEvaluator:
         threads, so a racing pop is treated as \"someone else evicted
         it\" rather than an error.
         """
-        total = need_room_for + sum(
-            entry.get("elements", 0) for entry in list(self._grid_cache.values())
-        )
+        total = 0
+        if need_room_for:  # only multivariate entries hold elements
+            total = need_room_for + sum(
+                entry.get("elements", 0) for entry in list(self._grid_cache.values())
+            )
         while self._grid_cache and (
             len(self._grid_cache) >= self._GRID_CACHE_MAX
             or total > self._ND_GRID_CACHE_ELEMENTS
@@ -464,8 +463,6 @@ class BatchedGroupEvaluator:
         for _value, model in items:
             if not isinstance(model, ColumnSetModel) or model.n_dims != 1:
                 return None
-            if model.integration_method != "simpson":
-                return None
             density = model.density
             if not isinstance(density, KernelDensityEstimator):
                 return None
@@ -574,8 +571,6 @@ class BatchedGroupEvaluator:
         for _value, model in items:
             if not isinstance(model, ColumnSetModel) or model.n_dims != d:
                 return None
-            if model.integration_method != "simpson":
-                return None
             density = model.density
             if not isinstance(density, MultivariateKDE):
                 return None
@@ -597,9 +592,8 @@ class BatchedGroupEvaluator:
             regressors.append(model.regressor)
         if len(set(points)) != 1:
             return None
-        # The scalar _box_grid caps the tensor-Simpson grid at ~70k
-        # points per group (m odd nodes per dimension); the batched grid
-        # must use the same m to reproduce its moments.
+        # Cap the tensor-Simpson grid at ~70k points per group (m odd
+        # nodes per dimension), as the reference box grid does.
         m = min(int(points[0]), max(9, int(round(70_000 ** (1.0 / d)))))
         if m % 2 == 0:
             m -= 1
@@ -637,8 +631,8 @@ class BatchedGroupEvaluator:
         # Scaled centres: z_j = x_j * inv_h_j - centre_j_over_h_j avoids
         # a division per (centre, point, dim) triple in the pdf blocks.
         state["centre_over_h"] = state["centres"] * inv_h_rep
-        # 1 / (prod_j h_j * sqrt(2 pi)^d * norm): the factor the scalar
-        # pdf divides by, applied once per group pdf row.
+        # 1 / (prod_j h_j * sqrt(2 pi)^d * norm): the factor
+        # MultivariateKDE.pdf divides by, applied once per group pdf row.
         state["pdf_scale"] = 1.0 / (
             np.prod(state["h"], axis=1)
             * _SQRT_2PI ** state["ndim"]
@@ -652,7 +646,7 @@ class BatchedGroupEvaluator:
             state["reg_mode"] = "none"
             return True
         if any(reg is None for reg in regressors):
-            return False  # mixed presence: let the scalar loop handle it
+            return False  # mixed presence: the per-group loop handles it
         d = state["ndim"]
         exported = []
         for reg in regressors:
@@ -679,7 +673,7 @@ class BatchedGroupEvaluator:
             state["reg_mode"] = "none"
             return True
         if any(reg is None for reg in regressors):
-            return False  # mixed presence: let the scalar loop handle it
+            return False  # mixed presence: the per-group loop handles it
         exported = []
         for reg in regressors:
             export = getattr(reg, "export_batch_state", None)
@@ -702,8 +696,8 @@ class BatchedGroupEvaluator:
             state["reg_ens"] = ensemble_state
             state["reg_objects"] = list(regressors)
         else:
-            # No pieces to integrate in closed form: the scalar loop
-            # answers the set (and keeps its Simpson grid for them).
+            # No pieces to integrate in closed form: not stackable, and
+            # each group's own one-group evaluator refuses it too.
             return False
         return True
 
@@ -825,7 +819,7 @@ class BatchedGroupEvaluator:
         """Contiguous group segments sharing this evaluator's arrays.
 
         Worker pools pickle the (cheap, plain-array) segments instead of
-        the per-group model objects the scalar path ships.
+        the per-group model objects the per-group loop ships.
         """
         if n_chunks < 1:
             raise InvalidParameterError(f"n_chunks must be >= 1, got {n_chunks}")
@@ -988,10 +982,7 @@ class BatchedGroupEvaluator:
         t0 = perf_counter() if registry.enabled else 0.0
         out: dict = {}
         if self._m is not None:
-            if self._m.get("ndim", 1) == 1:
-                out.update(self._answer_models(aggregate, ranges))
-            else:
-                out.update(self._answer_models_nd(aggregate, ranges))
+            out.update(self._answer_models(aggregate, ranges))
         if self._r is not None:
             out.update(self._answer_raw(aggregate, ranges))
         if registry.enabled:
@@ -1006,58 +997,74 @@ class BatchedGroupEvaluator:
     # -- model groups -------------------------------------------------------
 
     def _answer_models(self, aggregate: AggregateCall, ranges: Ranges) -> dict:
+        """One aggregate for every model group, 1-D or multivariate.
+
+        COUNT and PERCENTILE integrate the density alone, as do AVG /
+        VARIANCE / STDDEV of a predicate column (1-D only); SUM, and AVG
+        / VARIANCE / STDDEV of the dependent column, integrate the
+        regressor against it.
+        """
         func, column = aggregate.func, aggregate.column
-        x_column = self.x_columns[0]
-        on_x = column is not None and column == x_column
+        on_x = column is not None and column in self.x_columns
         on_y = column is not None and column == self.y_column
-        lb, ub = self._normalised_bounds(ranges)
+        one_d = self._m.get("ndim", 1) == 1
+        if one_d:
+            lb, ub = self._normalised_bounds(ranges)
+        else:
+            lb, ub = self._normalised_bounds_nd(ranges)
 
         if func == "COUNT":
-            vals = self._count(lb, ub)
+            vals = self._count(lb, ub) if one_d else self._count_nd(lb, ub)
         elif func == "PERCENTILE":
             if not on_x:
                 raise UnsupportedQueryError(
                     f"PERCENTILE must target the predicate column "
                     f"{self.x_columns}, got {column!r}"
                 )
-            vals = self._percentile(aggregate.parameter, bool(ranges), lb, ub)
-        elif func == "AVG":
-            if on_x:
-                den, num1, _num2, _cache = self._moments(lb, ub, use_regressor=False)
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    vals = np.where(den > 0, num1 / den, np.nan)
-            elif on_y:
-                vals = self._avg_y(lb, ub)
-            else:
+            if not one_d:
                 raise UnsupportedQueryError(
-                    f"AVG column {column!r} is neither the model's x nor y"
+                    "PERCENTILE needs a single predicate column"
                 )
-        elif func == "SUM":
-            if not on_y:
+            vals = self._percentile(aggregate.parameter, bool(ranges), lb, ub)
+        elif func in ("AVG", "SUM", "VARIANCE", "STDDEV"):
+            if func == "SUM" and not on_y:
                 raise UnsupportedQueryError(
                     f"SUM column {column!r} is not the model's dependent "
                     f"column ({self.y_column!r})"
                 )
-            den, num1, _num2, _cache = self._moments(lb, ub, use_regressor=True)
-            # The closed form's ∫D is the mass COUNT multiplies by the
-            # population.
-            count = self._count(lb, ub, den)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                avg = np.where(den <= _EMPTY_DENSITY, np.nan, num1 / den)
-            vals = np.where(
-                (count <= 0.0) | np.isnan(avg), 0.0, count * avg
-            )
-        elif func in ("VARIANCE", "STDDEV"):
-            if on_x:
-                vals = self._variance_x(lb, ub)
-            elif on_y:
-                vals = self._variance_y(lb, ub)
-            else:
+            if not (on_x or on_y):
                 raise UnsupportedQueryError(
                     f"{func} column {column!r} is neither the model's x nor y"
                 )
-            if func == "STDDEV":
-                vals = np.sqrt(vals)
+            if on_x and not one_d:
+                raise UnsupportedQueryError(
+                    f"density-based {func} is only defined for one "
+                    "predicate column"
+                )
+            if one_d:
+                den, num1, num2, cache = self._moments(lb, ub, use_regressor=on_y)
+            else:
+                den, num1, num2 = self._moments_nd(lb, ub)
+            if func == "AVG":
+                vals = _ratio(num1, den) if on_y else _ratio(num1, den, floor=0.0)
+            elif func == "SUM":
+                # In 1-D the closed form's ∫D is the mass COUNT
+                # multiplies by the population.
+                count = self._count(lb, ub, den) if one_d else self._count_nd(lb, ub)
+                avg = _ratio(num1, den)
+                vals = np.where((count <= 0.0) | np.isnan(avg), 0.0, count * avg)
+            else:
+                # Equation 8's explained part; for y, plus E[Var(y|x)]
+                # (law of total variance) - multivariate models keep the
+                # global residual variance only.
+                vals = _ratio(num2, den) - _ratio(num1, den) ** 2
+                if on_y and one_d:
+                    vals += self._expected_residual_variance(den, cache)
+                elif on_y:
+                    vals += self._m["res_global"]
+                vals = np.maximum(0.0, vals)
+                if func == "STDDEV":
+                    vals = np.sqrt(vals)
         else:
             raise UnsupportedQueryError(f"unsupported aggregate {func!r}")
         return dict(zip(self._m["values"], vals.tolist()))
@@ -1073,8 +1080,10 @@ class BatchedGroupEvaluator:
             raise InvalidParameterError(
                 f"range on {self.x_columns[0]!r} reversed: [{lb}, {ub}]"
             )
-        g = len(state["values"])
-        return np.full(g, float(lb)), np.full(g, float(ub))
+        lb_all, ub_all = np.empty((2, len(state["values"])))
+        lb_all.fill(lb)
+        ub_all.fill(ub)
+        return lb_all, ub_all
 
     def _count(
         self, lb: np.ndarray, ub: np.ndarray, mass: np.ndarray | None = None
@@ -1082,24 +1091,23 @@ class BatchedGroupEvaluator:
         """COUNT = population * clipped mixture mass, all groups at once.
 
         The mass is ``M0(tb) - M0(ta)`` at the clipped ends, or ``mass``
-        (the per-group ``∫D``) when the caller already holds it;
-        point-mass groups keep their inclusive rule either way.
+        (the per-group ``∫D``, 0 on an empty range) when the caller
+        already holds it; point-mass groups keep their inclusive rule
+        either way.
         """
         state = self._m
         a = np.maximum(lb, state["sup_lo"])
         b = np.minimum(ub, state["sup_hi"])
-        nonempty = b > a
-        pm = state["pm_mask"]
         if mass is None:
             g = a.shape[0]
-            ends = self._mass_below(np.concatenate([a, b]), np.tile(np.arange(g), 2))
-            mass = ends[g:] - ends[:g]
-        frac = np.where(nonempty & ~pm, np.maximum(mass, 0.0), 0.0)
-        pm_hit = (
-            nonempty & pm
-            & (a <= state["pm_value"]) & (state["pm_value"] <= b)
-        )
-        frac = np.where(pm_hit, 1.0, frac)
+            every = np.arange(g)
+            mass_at = self._mass_below(np.concatenate((every, every)))
+            ends = mass_at(np.concatenate((a, b)))
+            mass = np.where(b > a, ends[g:] - ends[:g], 0.0)
+        frac = np.maximum(mass, 0.0)
+        pm, at = state["pm_mask"], state["pm_value"]
+        if pm.any():
+            frac = np.where(pm, (b > a) & (a <= at) & (at <= b), frac)
         return state["population"] * frac
 
     # -- moment machinery ---------------------------------------------------
@@ -1151,9 +1159,7 @@ class BatchedGroupEvaluator:
             if registry.enabled:
                 registry.counter("repro_grid_cache_hits_total").inc()
         active = cache["active"]
-        den = np.zeros(g)
-        num1 = np.zeros(g)
-        num2 = np.zeros(g)
+        den, num1, num2 = np.zeros((3, g))
         if active.size == 0:
             return den, num1, num2, cache
         mode = state["reg_mode"]
@@ -1166,23 +1172,23 @@ class BatchedGroupEvaluator:
             )
         elif mode == "ensemble":
             objects = state["reg_objects"]
-            names = np.asarray([
-                objects[i].select(float(lb[i]), float(ub[i]))
-                for i in active.tolist()
-            ])
+            picked: dict = {}
+            for row, i in enumerate(active.tolist()):
+                name = objects[i].select(float(lb[i]), float(ub[i]))
+                picked.setdefault(name, []).append(row)
             parts = [
-                ("regressor", name, np.flatnonzero(names == name))
-                for name in np.unique(names).tolist()
+                ("regressor", name,
+                 slice(None) if len(rows) == active.size else np.asarray(rows))
+                for name, rows in picked.items()
             ]
         else:
             parts = [("regressor", None, slice(None))]
         for kind, name, rows in parts:
             table = self._piece_table(kind, name)
             sub = active[rows]
+            pieces, d = self._range_pieces(table, cache, rows)
             den[sub], num1[sub], num2[sub] = affine_piece_integrals(
-                self._range_pieces(table, cache, rows),
-                table["alpha"][sub],
-                table["beta"][sub],
+                d, table["alpha"][sub, pieces], table["beta"][sub, pieces]
             )
         if registry.enabled:
             registry.histogram("repro_kernel_moments_seconds").observe(
@@ -1212,7 +1218,9 @@ class BatchedGroupEvaluator:
             if down.any():
                 order = np.lexsort((g, np.repeat(np.arange(counts.shape[0]), counts)))
                 g, w = g[order], w[order]
-            unit = self._pieces["unit"] = {"x0": x0, "g": g, "w": w}
+            unit = self._pieces["unit"] = {
+                "x0": x0, "g": g, "w": w, "left": left_terms(g, w),
+            }
         return unit
 
     def _cumulative_moments(
@@ -1220,17 +1228,26 @@ class BatchedGroupEvaluator:
     ) -> np.ndarray:
         unit = self._unit_mixtures()
         return cumulative_moments(
-            unit["g"], unit["w"], self._m["aug_offsets"], group, t, degree
+            unit["g"], unit["w"], self._m["aug_offsets"], group, t, degree,
+            unit["left"],
         )
 
-    def _mass_below(self, t: np.ndarray, groups: np.ndarray) -> np.ndarray:
-        """Each group's mixture ``M0`` at its own point ``t``: differences
-        are the KDE's mass between points (a point mass is a unit step)."""
+    def _mass_below(self, groups: np.ndarray):
+        """``t -> M0`` of each listed group's mixture at its own point:
+        differences are the KDE's mass between points (a point mass is a
+        unit step)."""
         state = self._m
-        u = (t - self._unit_mixtures()["x0"][groups]) * state["inv_h"][groups]
-        m0 = self._cumulative_moments(groups, u, degree=0)[:, 0]
-        step = (t >= state["pm_value"][groups]).astype(np.float64)
-        return np.where(state["pm_mask"][groups], step, m0)
+        x0 = self._unit_mixtures()["x0"][groups]
+        inv_h = state["inv_h"][groups]
+        pm, at = state["pm_mask"][groups], state["pm_value"][groups]
+        if not pm.any():
+            pm = None
+
+        def mass(t: np.ndarray) -> np.ndarray:
+            m0 = self._cumulative_moments(groups, (t - x0) * inv_h, degree=0)[:, 0]
+            return m0 if pm is None else np.where(pm, t >= at, m0)
+
+        return mass
 
     def _range_ends(self, active: np.ndarray, a: np.ndarray, b: np.ndarray) -> dict:
         """Cumulative moments at both clipped ends of each active group."""
@@ -1238,9 +1255,9 @@ class BatchedGroupEvaluator:
         inv_h = self._m["inv_h"][active]
         ta, tb = (a - x0) * inv_h, (b - x0) * inv_h
         ends = self._cumulative_moments(
-            np.repeat(active, 2), np.stack([ta, tb], axis=1).ravel()
+            np.concatenate((active, active)), np.concatenate((ta, tb))
         )
-        return {"ta": ta, "tb": tb, "ends": ends.reshape(-1, 2, 3)}
+        return {"ta": ta, "tb": tb, "ends": ends.reshape(2, -1, 3).swapaxes(0, 1)}
 
     def _piece_table(self, kind: str, name: str | None = None) -> dict:
         """Breakpoints and per-piece coefficients of one integrand family.
@@ -1344,33 +1361,39 @@ class BatchedGroupEvaluator:
             )
         return offsets, cut, {"alpha": np.zeros_like(value), "beta": value}
 
-    def _range_pieces(self, table: dict, cache: dict, rows) -> np.ndarray:
-        """``(A, pieces, 3)`` moment differences across each piece.
+    def _range_pieces(self, table: dict, cache: dict, rows) -> tuple[slice, np.ndarray]:
+        """``(pieces, d)``: moment differences across the table's pieces.
 
         ``rows`` picks the active groups (positions in the memo entry)
-        whose clipped ranges are cut at the table's breakpoints; a
+        whose clipped ranges are cut at the table's breakpoints.
+        ``d[:, k]`` (shape ``(A, K, 3)``) belongs to piece
+        ``pieces.start + k``, the K pieces spanning every picked range; a
         breakpoint outside a range collapses onto the nearer end, so its
-        pieces carry exactly zero.
+        pieces carry exactly zero, as every piece outside the span would.
         """
         active, ends = cache["active"][rows], cache["ends"][rows]
         ta, tb = cache["ta"][rows][:, None], cache["tb"][rows][:, None]
         cuts = table["cuts"][active]
-        inside = (cuts > ta) & (cuts < tb)
-        at_cuts = table["moments"][active]
-        missing = inside & np.isnan(at_cuts).any(axis=2)
-        if missing.any():
-            hit, col = np.nonzero(missing)
-            fresh = self._cumulative_moments(active[hit], cuts[hit, col])
-            table["moments"][active[hit], col] = fresh
+        # Each row's cuts ascend, so "<= ta" and "< tb" hold on a prefix
+        # of it: the shortest and the longest prefix bound the span.
+        below, under = cuts <= ta, cuts < tb
+        first = np.count_nonzero(np.logical_and.reduce(below, axis=0))
+        last = np.count_nonzero(np.logical_or.reduce(under, axis=0))
+        below = below[:, first:last, None]
+        inside = under[:, first:last, None] > below
+        at_cuts = table["moments"][active, first:last]
+        hit, col = np.nonzero(
+            inside[:, :, 0] & np.logical_or.reduce(np.isnan(at_cuts), axis=2)
+        )
+        if hit.size:
+            fresh = self._cumulative_moments(active[hit], cuts[hit, first + col])
+            table["moments"][active[hit], first + col] = fresh
             at_cuts[hit, col] = fresh
         clipped = np.where(
-            inside[:, :, None],
-            at_cuts,
-            np.where((cuts <= ta)[:, :, None], ends[:, None, 0], ends[:, None, 1]),
+            inside, at_cuts, np.where(below, ends[:, None, 0], ends[:, None, 1])
         )
-        return np.diff(
-            np.concatenate([ends[:, :1], clipped, ends[:, 1:]], axis=1), axis=1
-        )
+        cells = np.concatenate([ends[:, :1], clipped, ends[:, 1:]], axis=1)
+        return slice(first, last + 1), cells[:, 1:] - cells[:, :-1]
 
     @staticmethod
     def _forest_predict(
@@ -1379,10 +1402,10 @@ class BatchedGroupEvaluator:
         """Lock-step traversal of every active group's boosted trees.
 
         All (tree, node-row) pairs advance one level per iteration over
-        the flat stacked node arrays — the per-group, per-stage Python
-        loop of the scalar path becomes ~max_depth gather passes — then
-        per-group learning-rate-scaled leaf sums reduce with one
-        ``np.add.reduceat``, matching the scalar accumulation order.
+        the flat stacked node arrays — a per-group, per-stage Python
+        loop becomes ~max_depth gather passes — then per-group
+        learning-rate-scaled leaf sums reduce with one
+        ``np.add.reduceat``, in a booster's own accumulation order.
         """
         gtoffsets = forest["gtoffsets"]
         tree_idx = _csr_take_rows(gtoffsets, active)
@@ -1422,30 +1445,6 @@ class BatchedGroupEvaluator:
 
     # -- aggregate bodies ---------------------------------------------------
 
-    def _avg_y(self, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
-        den, num1, _num2, _cache = self._moments(lb, ub, use_regressor=True)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(den <= _EMPTY_DENSITY, np.nan, num1 / den)
-
-    def _variance_x(self, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
-        den, num1, num2, _cache = self._moments(lb, ub, use_regressor=False)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            explained = num2 / den - (num1 / den) ** 2
-            return np.where(
-                den <= _EMPTY_DENSITY, np.nan, np.maximum(0.0, explained)
-            )
-
-    def _variance_y(self, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
-        den, num1, num2, cache = self._moments(lb, ub, use_regressor=True)
-        residual = self._expected_residual_variance(den, cache)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            explained = num2 / den - (num1 / den) ** 2
-            return np.where(
-                den <= _EMPTY_DENSITY,
-                np.nan,
-                np.maximum(0.0, explained + residual),
-            )
-
     def _expected_residual_variance(
         self, den: np.ndarray, cache: dict
     ) -> np.ndarray:
@@ -1462,9 +1461,10 @@ class BatchedGroupEvaluator:
         registry = get_registry()
         t0 = perf_counter() if registry.enabled else 0.0
         table = self._piece_table("residual")
-        mass = self._range_pieces(table, cache, slice(None))[:, :, 0]
+        bins, d = self._range_pieces(table, cache, slice(None))
+        mass = d[:, :, 0]
         with np.errstate(invalid="ignore", divide="ignore"):
-            expected = ordered_sum(table["var"][active] * mass) / den[active]
+            expected = ordered_sum(table["var"][active, bins] * mass) / den[active]
         binned = (np.diff(state["res_eoffsets"])[active] > 0) & (
             den[active] > _EMPTY_DENSITY
         )
@@ -1500,82 +1500,20 @@ class BatchedGroupEvaluator:
             raise InvalidParameterError(
                 f"integration bounds reversed: [{lo[bad]}, {hi[bad]}]"
             )
-        every = np.arange(lo.shape[0])
-        base = self._mass_below(lo, every)
-        total = self._mass_below(hi, every) - base
+        mass = self._mass_below(np.arange(lo.shape[0]))
+        base = mass(lo)
+        total = mass(hi) - base
         pm_inside = (lo <= state["pm_value"]) & (state["pm_value"] <= hi)
         total = np.where(state["pm_mask"], pm_inside.astype(np.float64), total)
         result = np.full(lo.shape[0], np.nan)
         alive = np.flatnonzero(total > _EMPTY_DENSITY)
-        base, total = base[alive], total[alive]
+        base, total, mass = base[alive], total[alive], self._mass_below(alive)
         result[alive] = bisect_many(
-            lambda t: (self._mass_below(t, alive) - base) / total - p,
-            lo[alive], hi[alive], tol=1e-9,
+            lambda t: (mass(t) - base) / total - p, lo[alive], hi[alive], tol=1e-9,
         )
         return result
 
     # -- multivariate model groups ------------------------------------------
-
-    def _answer_models_nd(self, aggregate: AggregateCall, ranges: Ranges) -> dict:
-        """One aggregate for every multivariate model group.
-
-        Mirrors the scalar :class:`~repro.core.model.ColumnSetModel`
-        dispatch exactly, including which aggregates a multivariate
-        model refuses (density-based x-moments and PERCENTILE).
-        """
-        func, column = aggregate.func, aggregate.column
-        on_x = column is not None and column in self.x_columns
-        on_y = column is not None and column == self.y_column
-        lb, ub = self._normalised_bounds_nd(ranges)
-
-        if func == "COUNT":
-            vals = self._count_nd(lb, ub)
-        elif func == "PERCENTILE":
-            if not on_x:
-                raise UnsupportedQueryError(
-                    f"PERCENTILE must target the predicate column "
-                    f"{self.x_columns}, got {column!r}"
-                )
-            raise UnsupportedQueryError(
-                "PERCENTILE needs a single predicate column"
-            )
-        elif func == "AVG":
-            if on_x:
-                raise UnsupportedQueryError(
-                    "density-based AVG is only defined for one predicate column"
-                )
-            if not on_y:
-                raise UnsupportedQueryError(
-                    f"AVG column {column!r} is neither the model's x nor y"
-                )
-            vals = self._avg_y_nd(lb, ub)
-        elif func == "SUM":
-            if not on_y:
-                raise UnsupportedQueryError(
-                    f"SUM column {column!r} is not the model's dependent "
-                    f"column ({self.y_column!r})"
-                )
-            count = self._count_nd(lb, ub)
-            avg = self._avg_y_nd(lb, ub)
-            vals = np.where(
-                (count <= 0.0) | np.isnan(avg), 0.0, count * avg
-            )
-        elif func in ("VARIANCE", "STDDEV"):
-            if on_x:
-                raise UnsupportedQueryError(
-                    "density-based VARIANCE is only defined for one "
-                    "predicate column"
-                )
-            if not on_y:
-                raise UnsupportedQueryError(
-                    f"{func} column {column!r} is neither the model's x nor y"
-                )
-            vals = self._variance_y_nd(lb, ub)
-            if func == "STDDEV":
-                vals = np.sqrt(vals)
-        else:
-            raise UnsupportedQueryError(f"unsupported aggregate {func!r}")
-        return dict(zip(self._m["values"], vals.tolist()))
 
     def _normalised_bounds_nd(
         self, ranges: Ranges
@@ -1601,9 +1539,9 @@ class BatchedGroupEvaluator:
         """COUNT = population * renormalised box mass, all groups at once."""
         state = self._m
         frac = np.zeros(len(state["values"]))
-        # Two clips, replicating the scalar path: _fraction_nd clips to
-        # the model domain (empty when any high <= low), integrate_box
-        # re-clips to the KDE's own domain (empty when any high < low).
+        # Two clips: to the model domain (empty when any high <= low),
+        # then to the KDE's own domain, as integrate_box does (empty
+        # when any high < low).
         a = np.maximum(lb, state["dom_lo"])
         b = np.minimum(ub, state["dom_hi"])
         open_box = (b > a).all(axis=1)
@@ -1708,8 +1646,8 @@ class BatchedGroupEvaluator:
         """Tensor-Simpson grids of the given groups' clipped boxes.
 
         Returns ``(points, weights)`` of shapes ``(A, m^d, d)`` and
-        ``(A, m^d)`` in the C-order meshgrid-ravel layout of the scalar
-        ``_box_grid`` (digit j indexes dim j's nodes, dim 0 major).
+        ``(A, m^d)`` in C-order meshgrid-ravel layout (digit j indexes
+        dim j's nodes, dim 0 major).
         """
         state = self._m
         d = state["ndim"]
@@ -1803,31 +1741,13 @@ class BatchedGroupEvaluator:
             return coef[:, 0, None] + np.einsum(
                 "apd,ad->ap", points, coef[:, 1:]
             )
-        # Generic regressors (trees, boosters, ensembles): the per-group
-        # predict loop remains — with the same unbounded routing the
-        # scalar _grid_moments_nd uses — while the density work around it
-        # stays batched.
+        # Generic regressors (trees, boosters, ensembles): a per-group
+        # predict loop, with unbounded ensemble routing, while the
+        # density work around it stays batched.
         out = np.empty(points.shape[:2])
         for i, g in enumerate(active.tolist()):
             out[i] = state["reg_objects"][g].predict(points[i])
         return out
-
-    def _avg_y_nd(self, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
-        den, num1, _num2 = self._moments_nd(lb, ub)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(den <= _EMPTY_DENSITY, np.nan, num1 / den)
-
-    def _variance_y_nd(self, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
-        den, num1, num2 = self._moments_nd(lb, ub)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            explained = num2 / den - (num1 / den) ** 2
-            # Multivariate models keep no residual bins: the unexplained
-            # part is the global scalar, as in the scalar path.
-            return np.where(
-                den <= _EMPTY_DENSITY,
-                np.nan,
-                np.maximum(0.0, explained + self._m["res_global"]),
-            )
 
     # -- raw groups ---------------------------------------------------------
 
@@ -1879,6 +1799,16 @@ class BatchedGroupEvaluator:
             else:
                 raise ModelTrainingError(f"unsupported aggregate {func!r}")
         return dict(zip(state["values"], vals.tolist()))
+
+
+def _ratio(
+    num: np.ndarray, den: np.ndarray, floor: float = _EMPTY_DENSITY
+) -> np.ndarray:
+    """``num / den`` per group, NaN where the range holds no more mass
+    than ``floor``."""
+    out = np.empty(den.shape)
+    out.fill(np.nan)
+    return np.divide(num, den, out=out, where=den > floor)
 
 
 def _pad_rows(

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from repro.errors import InvalidParameterError
 
 _REGRESSORS = ("ensemble", "gboost", "xgboost", "plr", "linear", "tree")
-_INTEGRATION_METHODS = ("simpson", "quad")
 _PARALLEL_MODES = ("thread", "process")
 _SHED_POLICIES = ("reject", "drop-oldest")
 _STORE_FORMATS = ("pickle", "mmap")
@@ -35,17 +34,9 @@ class DBEstConfig:
         sample size above which binned compression kicks in for both the
         1-D and the multivariate estimator.
     integration_points:
-        Simpson grid size (odd, >= 3) for the integrals that need a
-        grid: multivariate boxes and regressors that export no pieces.
-        1-D integrals of the identity and of every regressor the engine
-        builds (``linear``, ``plr``, ``tree``, ``gboost``, ``xgboost``,
-        ``ensemble``) are closed-form (:mod:`repro.integrate.moments`)
-        and ignore it.
-    integration_method:
-        ``"simpson"`` (default: closed form where one exists, else the
-        vectorised fixed grid above) or ``"quad"`` (adaptive QUADPACK
-        on every integral, the method named by the paper) — compared in
-        the integration ablation bench.
+        Simpson grid size (odd, >= 3) per dimension, for multivariate
+        boxes only.  1-D integrals are closed-form
+        (:mod:`repro.integrate.moments`) and ignore it.
     min_group_rows:
         GROUP BY groups whose *sample* has fewer rows than this are kept
         as raw tuples instead of models (paper: "building models over
@@ -157,7 +148,6 @@ class DBEstConfig:
     kde_bins_per_dim: int = 64
     kde_bin_threshold: int = 5000
     integration_points: int = 257
-    integration_method: str = "simpson"
     min_group_rows: int = 30
     max_groups: int = 10_000
     n_workers: int = 1
@@ -192,11 +182,6 @@ class DBEstConfig:
             raise InvalidParameterError(
                 "integration_points must be odd and >= 3, "
                 f"got {self.integration_points}"
-            )
-        if self.integration_method not in _INTEGRATION_METHODS:
-            raise InvalidParameterError(
-                f"integration_method must be one of {_INTEGRATION_METHODS}, "
-                f"got {self.integration_method!r}"
             )
         if self.parallel_mode not in _PARALLEL_MODES:
             raise InvalidParameterError(

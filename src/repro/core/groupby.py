@@ -7,10 +7,10 @@ kept as raw tuples and aggregated exactly, since models over tiny groups
 are an overkill.
 
 Queries default to the batched evaluator (:mod:`repro.core.batched`),
-which answers all groups in one vectorised pass; the per-group scalar
-loop remains as the fallback for model sets the batched path cannot
-stack, as the oracle the parity tests compare against, and as an
-explicit opt-out (``answer(..., batched=False)``).
+which answers all groups in one vectorised pass; the per-group loop, in
+which every model answers through a one-group evaluator of its own,
+remains for model sets the batched path cannot stack and as an explicit
+opt-out (``answer(..., batched=False)``).
 """
 
 from __future__ import annotations

@@ -2,11 +2,12 @@
 
 DBEst evaluates aggregates as integrals of the density estimator, weighted
 by the regression model (paper §3 "Integral Evaluation").  The paper uses
-SciPy's QUADPACK wrapper; we expose that as the adaptive method and add a
-fixed Simpson grid for multivariate boxes and regressors with no known
-pieces.  Integrands that are piecewise linear (or constant, as tree
-ensembles are) against a 1-D Gaussian mixture need no quadrature at all:
-:mod:`repro.integrate.moments` gives them in closed form.
+SciPy's QUADPACK wrapper; we expose that as the adaptive method (the
+engine's answers are checked against it) and add a fixed Simpson grid
+for multivariate boxes.  Integrands that are piecewise
+linear (or constant, as tree ensembles are) against a 1-D Gaussian
+mixture need no quadrature at all: :mod:`repro.integrate.moments` gives
+them in closed form.
 """
 
 from repro.integrate.moments import (

@@ -11,10 +11,10 @@ quadrature: they are finite sums of ``ndtr`` and ``exp`` at the range
 ends and the breakpoints.  The same holds for the identity integrand
 (``AVG(x)``, ``VARIANCE(x)``), for ``E[Var(y|x)]``, whose integrand is
 constant between the residual-variance bin edges, and for the CDF that
-PERCENTILE inverts.  Both :class:`~repro.core.model.ColumnSetModel` and
-:class:`~repro.core.batched.BatchedGroupEvaluator` take that route for
-1-D models.  Only regressors that export no pieces, multivariate boxes
-and ``"quad"`` keep a quadrature (:mod:`repro.integrate.quadrature`).
+PERCENTILE inverts.  :class:`~repro.core.batched.BatchedGroupEvaluator`
+takes that route for every 1-D model, a GROUP BY set's or a single
+:class:`~repro.core.model.ColumnSetModel`'s; only multivariate boxes keep
+a quadrature (:mod:`repro.integrate.quadrature`).
 
 Everything works in a mixture's *unit-bandwidth coordinate*
 ``u = (x - x0) / h`` with ``x0`` the support midpoint, so that kernel
@@ -42,6 +42,20 @@ _WINDOW = 9.0
 _BLOCK = 1 << 15
 
 
+def left_terms(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``(3, N + 1)``: each centre's ``w``, ``w·g`` and ``w·(g² + 1)``,
+    the moments of a kernel wholly left of a point, then a zero column
+    (a run of centres may end one past the last)."""
+    n = w.shape[0]
+    out = np.empty((3, n + 1))
+    out[:, n] = 0.0
+    out[0, :n] = w
+    np.multiply(w, g, out=out[1, :n])
+    np.multiply(out[1, :n], g, out=out[2, :n])
+    out[2, :n] += w
+    return out
+
+
 def cumulative_moments(
     g: np.ndarray,
     w: np.ndarray,
@@ -49,6 +63,7 @@ def cumulative_moments(
     group: np.ndarray,
     t: np.ndarray,
     degree: int = 2,
+    left: np.ndarray | None = None,
 ) -> np.ndarray:
     """``(M0, M1, M2)(t) = ∫_{-inf}^{t} (1, u, u²) · Σ_i w_i N(u; g_i, 1) du``.
 
@@ -68,33 +83,37 @@ def cumulative_moments(
     right add 0.  Each pair finds its window by position inside its own
     group's rows and reduces over them only, so a value is bit-identical
     whether it is computed alone, inside a larger batch, or on a slice
-    of the stacked arrays — callers may memoise rows freely.
+    of the stacked arrays — callers may memoise rows freely.  ``left``
+    is :func:`left_terms` of ``g`` and ``w``, which callers evaluating
+    the same mixture many times may keep.
     """
     n_pairs = group.shape[0]
     out = np.zeros((n_pairs, degree + 1))
     if n_pairs == 0:
         return out
+    if left is None:
+        left = left_terms(g, w)
     start = offsets[:-1][group]
     first, last = _window(g, start, offsets[1:][group], t)
-    pairs, _, rows, at = gather_ranges(start, first)
-    if rows.size:
-        wi = w[rows]
-        out[pairs, 0] = np.add.reduceat(wi, at)
-        if degree:
-            gi = g[rows]
-            terms = wi * gi
-            out[pairs, 1] = np.add.reduceat(terms, at)
-            terms *= gi
-            terms += wi
-            out[pairs, 2] = np.add.reduceat(terms, at)
+    # Each pair's centres left of its window, start:first, summed in
+    # place.  Taken in order of `first`, the runs between two pairs'
+    # runs are single cells or cover each centre at most once.
+    order = np.argsort(first, kind="stable")
+    run_start, run_end = start[order], first[order]
+    runs = np.empty(2 * n_pairs, dtype=np.intp)
+    runs[::2], runs[1::2] = run_start, run_end
+    sums = np.add.reduceat(left[: degree + 1, : run_end[-1] + 1], runs, axis=1)
+    out[order] = np.where(run_end > run_start, sums[:, ::2], 0.0).T
     # Whole pairs are packed into cache-sized blocks of windowed terms.
     ends = np.cumsum(last - first)
-    cuts = np.unique(np.concatenate((
-        [0],
-        np.searchsorted(ends, np.arange(_BLOCK, int(ends[-1]), _BLOCK), "right"),
-        [n_pairs],
-    )))
-    for p0, p1 in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+    cuts = [0, n_pairs]
+    if ends[-1] > _BLOCK:
+        cuts = np.unique(np.concatenate((
+            [0],
+            np.searchsorted(ends, np.arange(_BLOCK, int(ends[-1]), _BLOCK), "right"),
+            [n_pairs],
+        ))).tolist()
+    for p0, p1 in zip(cuts[:-1], cuts[1:]):
         pairs, counts, rows, at = gather_ranges(first[p0:p1], last[p0:p1])
         if rows.size == 0:
             continue

@@ -259,22 +259,6 @@ class TestFallbacks:
         for value, answer in expected.items():
             assert abs(got[value] - answer) <= 1e-9 * max(1.0, abs(answer))
 
-    def test_quad_method_falls_back(self):
-        rng = np.random.default_rng(4)
-        groups = np.repeat(np.arange(2), 200)
-        x = rng.uniform(0, 10, size=groups.shape[0])
-        config = DBEstConfig(
-            regressor="plr", min_group_rows=30, integration_method="quad",
-            random_seed=4,
-        )
-        model_set = GroupByModelSet.train(
-            sample_x=x, sample_y=2 * x, sample_groups=groups,
-            full_groups=groups, full_x=x, full_y=2 * x,
-            table_name="t", x_columns=("x",), y_column="y", group_column="g",
-            config=config,
-        )
-        assert model_set.batched_evaluator() is None
-
     def test_config_knob_disables_batching(self, model_set):
         original = model_set.config.batched_groupby
         try:

@@ -1,14 +1,14 @@
-"""Parity suite: batched *multivariate* GROUP BY vs the scalar oracles.
+"""Parity suite: batched *multivariate* GROUP BY vs the per-group paths.
 
 Multivariate predicate sets (product-kernel KDEs) train through
 :mod:`repro.core.batched_train` and answer through
-:mod:`repro.core.batched` since the multivariate batching PR; the
-per-group scalar loop remains the reference.  Batched-trained models
-must match loop-trained models to 1e-12 in every parameter (centres and
-weights bit for bit on the binned path) and both engines must answer
-COUNT/SUM/AVG/VARIANCE/STDDEV identically to 1e-9 across binned and
-unbinned fits, degenerate (constant) columns, raw groups and empty-box
-edge cases.  The PR's satellite fixes — pdf chunk budgeting,
+:mod:`repro.core.batched`.  Batched-trained models must match
+loop-trained models to 1e-12 in every parameter (centres and weights
+bit for bit on the binned path); the stacked evaluator, the per-group
+loop of one-group evaluators and the tensor-Simpson / ``integrate_box``
+oracle of :mod:`repro.reference` must answer COUNT/SUM/AVG/VARIANCE/STDDEV
+identically to 1e-9 across binned and unbinned fits, degenerate
+(constant) columns, raw groups and empty-box edge cases.  The PR's satellite fixes — pdf chunk budgeting,
 KDE config plumbing, ensemble multivariate invariants — are regression
 tested here too.
 """
@@ -21,6 +21,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.core import DBEstConfig, GroupByModelSet
 from repro.core.batched_train import train_batched_models
 from repro.core.model import ColumnSetModel
@@ -143,7 +144,8 @@ RANGES = (
 
 def assert_answer_parity(batched: GroupByModelSet, scalar: GroupByModelSet,
                          y: bool = True) -> None:
-    """Both engines answer every aggregate identically (1e-9)."""
+    """Both engines, and the reference for modelled groups, answer every
+    aggregate identically (1e-9)."""
     aggregates = [AggregateCall("COUNT", None)]
     if y:
         aggregates += [
@@ -155,7 +157,11 @@ def assert_answer_parity(batched: GroupByModelSet, scalar: GroupByModelSet,
             got = batched.answer(aggregate, ranges, batched=True)
             expected = scalar.answer(aggregate, ranges, batched=False)
             assert set(got) == set(expected)
-            for value, answer in expected.items():
+            oracle = {
+                value: reference.answer(model, aggregate, ranges)
+                for value, model in batched.models.items()
+            }
+            for value, answer in [*expected.items(), *oracle.items()]:
                 if math.isnan(answer):
                     assert math.isnan(got[value]), (aggregate, ranges, value)
                 else:

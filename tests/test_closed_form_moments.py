@@ -4,24 +4,22 @@ Three bars, for every regressor the engine builds (``linear``, ``plr``,
 ``tree``, ``gboost``, ``xgboost`` and the ``ensemble`` of ``gboost``,
 ``xgboost`` and ``plr``):
 
-* **accuracy** - the moments function, and the ``∫D``, ``∫R·D``,
-  ``∫R²·D`` and ``E[Var(y|x)]`` built from it, agree to 1e-9 relative
-  with composite Simpson at 4097 nodes *per smooth piece* (the range is
-  cut at the spline knots or split thresholds and the residual-variance
-  edges first, so no panel straddles a kink or a jump - a 4097-node rule
-  across a jump is only O(1/4096) accurate).  A forest is constant on
-  each piece ``(t[k-1], t[k]]``, so its reference takes the value at
-  the piece midpoint: Simpson's left-end node sits on ``t[k-1]``, where
-  ``predict`` returns the left neighbour's value;
-* **parity** - batched == scalar to 1e-9 on ranges the older fixtures
-  miss (1 %-wide, inside one piece, across every breakpoint, ending
+* **accuracy** - the moments function agrees to 1e-9 relative with
+  composite Simpson at 4097 nodes, and so do a model's public COUNT,
+  SUM, AVG and VARIANCE answers with
+  :func:`repro.reference.piecewise_simpson` (4097 nodes *per smooth
+  piece*, so no panel straddles a kink or a jump);
+* **parity** - a GROUP BY set's stacked evaluator == its groups' own
+  one-group evaluators (``batched=False``) to 1e-9 on ranges the older
+  fixtures miss (1 %-wide, inside one piece, across every breakpoint, ending
   exactly on a knot, a split threshold or a residual edge, partly and
   wholly outside the support, a point-mass group, ensemble groups that
   pick different constituents for the same bounds, ``split(3)`` chunks);
 * **history independence** - the same query gives the same bits from a
   fresh evaluator, a well-used one, a ``from_mapped`` one and a
   pickled-and-restored one, and from a fresh or a well-used scalar
-  model, whose pickle never carries its derived tables.
+  model, whose pickle never carries its evaluator - and from eight
+  threads making a freshly unpickled model's first calls at once.
 
 The kernel only evaluates centres within ``_WINDOW`` bandwidths of a
 point, so it is also held to an every-centre sum; COUNT and PERCENTILE,
@@ -34,20 +32,19 @@ from __future__ import annotations
 import functools
 import math
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from repro import reference
 from repro.core import DBEstConfig, GroupByModelSet, ModelKey, answer_aggregate
 from repro.core.batched import BatchedGroupEvaluator
 from repro.core.model import ColumnSetModel
-from repro.integrate import (
-    affine_piece_integrals,
-    bisect,
-    cumulative_moments,
-    simpson_grid,
-)
+from repro.errors import UnsupportedQueryError
+from repro.integrate import affine_piece_integrals, cumulative_moments, simpson_grid
 from repro.integrate.moments import _WINDOW, _window
 from repro.ml.ensemble import EnsembleRegressor
 from repro.ml.kde import KernelDensityEstimator
@@ -241,62 +238,38 @@ def _scalar_model(regressor: str, density: str) -> ColumnSetModel:
     )
 
 
-def _breakpoints(regressor) -> tuple[np.ndarray, bool]:
-    """``(breaks, constant)``: a spline's knots (affine between them) or a
-    forest's distinct split thresholds (constant between them)."""
-    state = regressor.export_batch_state()
-    if state[0] == "forest":
-        return np.unique(state[5][state[4] >= 0]), True
-    return (state[1] if state[0] == "plr" else np.empty(0)), False
-
-
 def _force(ensemble: EnsembleRegressor, name: str) -> None:
     """Make every range select the ``name`` constituent."""
     ensemble.selector_ = None
     ensemble._default_name = name
 
 
-def _reference(model: ColumnSetModel, lb: float, ub: float) -> dict:
-    """Composite Simpson, ``REFERENCE_NODES`` nodes on every smooth piece."""
-    a, b = model._clip_1d(lb, ub)
-    regressor = model.regressor
-    if isinstance(regressor, EnsembleRegressor):
-        regressor = regressor.models_[regressor.select(lb, ub)]
-    knots, constant = _breakpoints(regressor)
-    breaks = np.concatenate([knots, model._residual_edges])
-    cuts = np.concatenate(([a], np.sort(breaks[(breaks > a) & (breaks < b)]), [b]))
-    if constant:
-        levels = regressor.predict(0.5 * (cuts[:-1] + cuts[1:]))
-    total = dict.fromkeys(("den", "x1", "x2", "r1", "r2", "res"), 0.0)
-    for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
-        nodes, weights = simpson_grid(float(lo), float(hi), REFERENCE_NODES)
-        wd = weights * model.density.pdf(nodes)
-        r = np.full_like(nodes, levels[k]) if constant else regressor.predict(nodes)
-        sigma2 = model.residual_variance(np.asarray([0.5 * (lo + hi)]))[0]
-        total["den"] += wd.sum()
-        total["x1"] += wd @ nodes
-        total["x2"] += wd @ (nodes * nodes)
-        total["r1"] += wd @ r
-        total["r2"] += wd @ (r * r)
-        total["res"] += sigma2 * wd.sum()
-    return total
-
-
 def _assert_matches_reference(model, ranges, rtol) -> None:
+    """Public answers against :func:`reference.piecewise_simpson`.
+
+    A VARIANCE is compared through the second moment it is the
+    difference of, ``VARIANCE + AVG²``: over a 1 %-wide range the
+    difference cancels ~4 of the 16 digits both sides carry.
+    """
+    n = model.population_size
     for lb, ub in ranges:
-        want = _reference(model, lb, ub)
-        den, x1, x2 = model._grid_moments_1d(lb, ub, use_regressor=False)
-        den_r, r1, r2 = model._grid_moments_1d(lb, ub, use_regressor=True)
-        residual = model._expected_residual_variance({"x": (lb, ub)}, den_r)
-        got = {
-            "den": den, "x1": x1, "x2": x2, "r1": r1, "r2": r2,
-            "res": residual * den_r,
+        want = reference.piecewise_simpson(model, lb, ub, REFERENCE_NODES)
+        den = want["den"]
+        query = {"x": (lb, ub)}
+        avg_x, avg_y = model.avg_x(query), model.avg(query)
+        got_want = {
+            "COUNT": (model.count(query), n * den),
+            "SUM": (model.sum_(query), n * want["r1"]),
+            "AVG(x)": (avg_x, want["x1"] / den),
+            "AVG(y)": (avg_y, want["r1"] / den),
+            "E[x²]": (model.variance_x(query) + avg_x**2, want["x2"] / den),
+            "E[R²] + E[Var(y|x)]": (
+                model.variance_y(query) + avg_y**2,
+                (want["r2"] + want["res"]) / den,
+            ),
         }
-        assert den_r == pytest.approx(den, rel=1e-12)
-        for name, value in want.items():
-            assert got[name] == pytest.approx(value, rel=rtol), (
-                f"{name} over [{lb}, {ub}]"
-            )
+        for name, (got, value) in got_want.items():
+            assert got == pytest.approx(value, rel=rtol), f"{name} over [{lb}, {ub}]"
 
 
 REFERENCE_RANGES = (
@@ -312,7 +285,6 @@ class TestAgainstSimpsonReference:
     @pytest.mark.parametrize("regressor", ["plr", "linear"])
     def test_integrals(self, regressor, density):
         model = _scalar_model(regressor, density)
-        assert model._moment_table(True, 0.0, 100.0) is not None
         _assert_matches_reference(model, REFERENCE_RANGES, REFERENCE_RTOL)
 
     @pytest.mark.parametrize("regressor", ["tree", "gboost", "xgboost", "ensemble"])
@@ -327,16 +299,23 @@ class TestAgainstSimpsonReference:
         for name in ensemble.constituent_names if ensemble else [None]:
             if ensemble:
                 _force(ensemble, name)
-            assert model._moment_table(True, 0.0, 100.0) is not None
             _assert_matches_reference(model, REFERENCE_RANGES[1:], REFERENCE_RTOL)
 
     def test_mass_equals_the_analytic_cdf(self):
+        """COUNT is the KDE's CDF mass, and SUM takes the same mass."""
         model = _scalar_model("plr", "reflected")
         for lb, ub in REFERENCE_RANGES:
-            den, _, _ = model._grid_moments_1d(lb, ub, use_regressor=True)
-            assert den == pytest.approx(model._fraction_1d(lb, ub), rel=1e-12)
+            query = {"x": (lb, ub)}
+            mass = model.density.integrate(*reference.clip(model, lb, ub))
+            count = model.count(query)
+            assert count == pytest.approx(model.population_size * mass, rel=1e-12)
+            assert model.sum_(query) == pytest.approx(
+                count * model.avg(query), rel=1e-12
+            )
 
     def test_which_integrands_are_closed_form(self):
+        """Every regressor the engine builds; one without pieces refuses
+        every query, naming its class."""
         x, y = _sample(400)
 
         def train(**kwargs):
@@ -344,14 +323,13 @@ class TestAgainstSimpsonReference:
                 x, y, "t", ("x",), "y", 1000, DBEstConfig(random_seed=1, **kwargs)
             )
 
-        for regressor in ("plr", "linear", "tree", "gboost", "xgboost"):
-            model = train(regressor=regressor)
-            assert model._moment_table(True, 20.0, 70.0) is not None
+        ranges = {"x": (20.0, 70.0)}
+        for regressor in ("plr", "linear", "tree", "gboost", "xgboost", "ensemble"):
+            assert math.isfinite(train(regressor=regressor).avg(ranges))
         opaque = _without_pieces(train(regressor="tree"))
-        assert opaque._moment_table(False, 20.0, 70.0) is not None  # AVG(x)
-        assert opaque._moment_table(True, 20.0, 70.0) is None
-        quad = train(regressor="plr", integration_method="quad")
-        assert quad._moment_table(False, 20.0, 70.0) is None
+        for answer in (opaque.avg, opaque.avg_x, opaque.count):
+            with pytest.raises(UnsupportedQueryError, match="_Opaque"):
+                answer(ranges)
 
     def test_integration_points_do_not_matter_in_one_dimension(self):
         x, y = _sample(400)
@@ -373,10 +351,9 @@ class TestAgainstSimpsonReference:
 
         assert answers("plr", 9) == answers("plr", 257)
         assert answers("tree", 9) == answers("tree", 257)
-        # A regressor that exports no pieces stays on the Simpson grid.
-        coarse, fine = answers("tree", 9, True), answers("tree", 257, True)
-        assert coarse[3:] == fine[3:]          # identity integrand: closed form
-        assert coarse[:2] != fine[:2]
+        # A regressor that exports no pieces has no grid to fall back on.
+        with pytest.raises(UnsupportedQueryError, match="_Opaque"):
+            answers("tree", 9, True)
 
 
 class _Opaque:
@@ -408,21 +385,6 @@ def assert_parity(batched: dict, scalar: dict) -> None:
             assert abs(got - expected) <= 1e-9 * max(1.0, abs(expected)), (
                 f"group {key}: batched {got} vs scalar {expected}"
             )
-
-
-def _four_leg_percentile(model: ColumnSetModel, p: float, ranges: dict) -> float:
-    """PERCENTILE by bisecting the KDE's own reflected four-leg CDF."""
-    density = model.density
-    lo, hi = density.support
-    if ranges:
-        lb, ub = model._normalise_ranges(ranges)[0]
-        lo, hi = max(lo, lb), min(hi, ub)
-    total = density.integrate(lo, hi)
-    base = density.cdf(np.asarray([lo]))[0]
-    return bisect(
-        lambda t: (density.cdf(np.asarray([t]))[0] - base) / total - p,
-        lo, hi, tol=1e-9,
-    )
 
 
 def same_bits(left: dict, right: dict) -> bool:
@@ -478,7 +440,7 @@ def sweep_ranges(model_set: GroupByModelSet) -> dict[str, dict]:
     regressor = model.regressor
     if isinstance(regressor, EnsembleRegressor):
         regressor = regressor.models_["gboost"]
-    breaks = _breakpoints(regressor)[0]
+    breaks = reference.breakpoints(regressor)[0]
     if breaks.size == 0:
         breaks = edges
     lo, hi = model.density.support
@@ -570,7 +532,7 @@ class TestBatchedScalarParity:
             batched = model_set.answer(aggregate, ranges, batched=True)
             scalar = model_set.answer(aggregate, ranges, batched=False)
             for value, model in model_set.models.items():
-                a, b = model._clip_1d(*model._normalise_ranges(ranges)[0])
+                a, b = reference.clip(model, *reference.bounds(model, ranges)[0])
                 mass = max(0.0, model.density.integrate(a, b)) if b > a else 0.0
                 old = model.population_size * mass
                 assert scalar[value] == pytest.approx(old, rel=1e-12), name
@@ -589,7 +551,7 @@ class TestBatchedScalarParity:
             scalar = model_set.answer(aggregate, ranges, batched=False)
             assert_parity(batched, scalar)
             for value, model in model_set.models.items():
-                old = _four_leg_percentile(model, p, ranges)
+                old = reference.four_leg_percentile(model, p, ranges)
                 assert abs(scalar[value] - old) <= 1e-9, (value, ranges)
 
     def test_ensemble_groups_pick_different_constituents(self):
@@ -599,7 +561,7 @@ class TestBatchedScalarParity:
         mixed, picked = 0, set()
         for ranges in sweep_ranges(model_set).values():
             names = {
-                model.regressor.select(*model._normalise_ranges(ranges)[0])
+                model.regressor.select(*reference.bounds(model, ranges)[0])
                 for model in model_set.models.values()
             }
             mixed += len(names) > 1
@@ -608,10 +570,18 @@ class TestBatchedScalarParity:
         assert picked == {"gboost", "xgboost", "plr"}
 
     def test_sets_without_pieces_use_the_scalar_loop(self):
+        """The set does not stack, and its per-group loop refuses the
+        query, naming the regressor class."""
         model_set = make_model_set("tree")
         for model in model_set.models.values():
             _without_pieces(model)
         assert BatchedGroupEvaluator.build(model_set) is None
+        for batched in (True, False):
+            with pytest.raises(UnsupportedQueryError, match="_Opaque"):
+                model_set.answer(
+                    AggregateCall("COUNT", "y"), {"x": (20.0, 70.0)},
+                    batched=batched,
+                )
 
     def test_split_chunks_give_the_same_bits(self, model_set):
         evaluator = model_set.batched_evaluator()
@@ -701,20 +671,90 @@ class TestHistoryIndependence:
         assert self._scalar_answers(used, self.QUERY) == want
         assert self._scalar_answers(fresh, self.QUERY) == want
 
+    SCALAR_CALLS = CALLS + (
+        ("COUNT", "y"), ("STDDEV", "x"), ("PERCENTILE", "x", 0.3),
+    )
+
+    def _every_answer(self, model: ColumnSetModel) -> list[float]:
+        return [
+            answer_aggregate(model, AggregateCall(*call), self.QUERY)
+            for call in self.SCALAR_CALLS
+        ]
+
     def test_scalar_pickle_does_not_carry_the_tables(self, model_set):
         """``size_bytes`` and every store record hash what the model is,
         not which queries it answered."""
         model = pickle.loads(pickle.dumps(model_set.models[0]))
-        assert "_pieces" not in model.__dict__
+        assert "_evaluator" not in model.__dict__
         before, size = pickle.dumps(model), model.size_bytes()
+        self._every_answer(model)
         rng = np.random.default_rng(10)
         for lb, width in zip(rng.uniform(-10, 90, 50), rng.uniform(0.5, 60, 50)):
             ranges = {"x": (float(lb), float(lb + width))}
             model.sum_(ranges), model.avg(ranges), model.variance_y(ranges)
-        assert model._pieces
+        assert model._evaluator._pieces
         assert pickle.dumps(model) == before
         assert model.size_bytes() == size
-        assert "_pieces" not in pickle.loads(before).__dict__
+        assert "_evaluator" not in pickle.loads(before).__dict__
+
+    def test_store_size_does_not_depend_on_served_queries(self, model_set, tmp_path):
+        key = ModelKey.make("t", ("x",), "y")
+        store = ModelStore.write(
+            {key: model_set.models[0]}, tmp_path / "a", store_format="mmap"
+        )
+        size = store.total_size_bytes()
+        served = store.get(key)
+
+        def rewritten(name: str) -> int:
+            path = tmp_path / name
+            return ModelStore.write({key: served}, path, store_format="mmap")
+
+        unserved = rewritten("b").total_size_bytes()
+        self._every_answer(served)
+        assert store.total_size_bytes() == size
+        assert rewritten("c").total_size_bytes() == unserved
+
+    def test_concurrent_first_calls_match_sequential(self, model_set, monkeypatch):
+        """Eight threads open a freshly unpickled model at once, each
+        with a different first aggregate: one evaluator is built and
+        every answer has the sequential bits."""
+        blob = pickle.dumps(model_set.models[0])
+        want = self._every_answer(pickle.loads(blob))
+        builds = []
+        build = BatchedGroupEvaluator.build.__func__
+
+        def counted(cls, one_model_set):
+            builds.append(1)
+            return build(cls, one_model_set)
+
+        monkeypatch.setattr(BatchedGroupEvaluator, "build", classmethod(counted))
+        model = pickle.loads(blob)
+        calls = [AggregateCall(*call) for call in self.SCALAR_CALLS]
+        start = threading.Barrier(8)
+        got: dict = {}
+
+        def worker(i: int) -> None:
+            start.wait()
+            order = list(range(i, len(calls))) + list(range(i))
+            got[i] = {
+                k: answer_aggregate(model, calls[k], self.QUERY) for k in order
+            }
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(builds) == 1
+        for i in range(8):
+            answers = [got[i][k] for k in range(len(calls))]
+            assert same_bits(dict(enumerate(want)), dict(enumerate(answers)))
 
 
 # -- centre order ----------------------------------------------------------------

@@ -25,7 +25,6 @@ class TestConfig:
             {"regressor": "nope"},
             {"integration_points": 4},
             {"integration_points": 1},
-            {"integration_method": "magic"},
             {"parallel_mode": "fibers"},
             {"n_workers": 0},
             {"min_group_rows": 0},

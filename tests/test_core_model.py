@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.core import ColumnSetModel, DBEstConfig
 from repro.errors import (
     InvalidParameterError,
     ModelTrainingError,
     UnsupportedQueryError,
 )
+from repro.sql.ast import AggregateCall
 
 
 @pytest.fixture
@@ -192,22 +194,18 @@ class TestMultivariate:
 
 class TestIntegrationMethods:
     def test_quad_matches_simpson(self, rng):
+        """The closed form against adaptive QUADPACK, the paper's method."""
         x = rng.uniform(0, 10, size=3000)
         y = x**1.5
-        common = dict(
-            table_name="t", x_columns=("x",), y_column="y", population_size=3000
-        )
-        simpson = ColumnSetModel.train(
-            x, y, config=DBEstConfig(regressor="plr", integration_method="simpson"),
-            **common,
-        )
-        quad = ColumnSetModel.train(
-            x, y, config=DBEstConfig(regressor="plr", integration_method="quad"),
-            **common,
+        model = ColumnSetModel.train(
+            x, y, table_name="t", x_columns=("x",), y_column="y",
+            population_size=3000, config=DBEstConfig(regressor="plr"),
         )
         ranges = {"x": (2.0, 8.0)}
-        assert simpson.avg(ranges) == pytest.approx(quad.avg(ranges), rel=0.02)
-        assert simpson.count(ranges) == pytest.approx(quad.count(ranges), rel=0.02)
+        for call, answer in ((AggregateCall("AVG", "y"), model.avg),
+                             (AggregateCall("COUNT", None), model.count)):
+            quad = reference.answer(model, call, ranges)
+            assert answer(ranges) == pytest.approx(quad, rel=0.02)
 
 
 class TestIntrospection:
