@@ -3,9 +3,10 @@
 Not a paper figure: this benchmarks the repo's own multivariate batching
 (product-kernel KDEs through :mod:`repro.core.batched_train` and
 :mod:`repro.core.batched`) against the per-group scalar loop it replaced
-as the default for multi-column predicates.  The workload mirrors
-``bench_training.py`` — one model set over [(a, b) -> y] with 200 groups
-— and times both sides of the engine: model-set *training* (per-dimension
+for multi-column predicates (training: the row-wise oracle
+``repro.reference.train_set``; answering: ``answer(batched=False)``).
+The workload mirrors ``bench_training.py`` — one model set over
+[(a, b) -> y] with 200 groups — and times both sides of the engine: model-set *training* (per-dimension
 bandwidth reductions, the vectorised d-dimensional binning pass, stacked
 OLS solves) and *query answering* (stacked box integrals for COUNT, the
 shared tensor-Simpson pdf pass for SUM/AVG/VARIANCE).
@@ -29,6 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.core.config import DBEstConfig
 from repro.core.groupby import GroupByModelSet
 from repro.sql.ast import AggregateCall
@@ -73,11 +75,12 @@ def _train(batched: bool, seed: int = 7) -> GroupByModelSet:
         regressor="linear", min_group_rows=30,
         integration_points=65, random_seed=seed,
     )
-    return GroupByModelSet.train(
+    trainer = GroupByModelSet.train if batched else reference.train_set
+    return trainer(
         sample_x=x, sample_y=y, sample_groups=groups,
         full_groups=groups, full_x=x, full_y=y,
         table_name="bench", x_columns=("a", "b"), y_column="y",
-        group_column="g", config=config, batched=batched,
+        group_column="g", config=config,
     )
 
 

@@ -2,7 +2,7 @@
 
 Not a paper figure: this benchmarks the repo's own batched trainer
 (:mod:`repro.core.batched_train`) against the per-group training loop it
-replaced as the default in ``GroupByModelSet.train``.  The workload is
+replaced, kept as the oracle ``repro.reference.train_set``.  The workload is
 the same shape as ``bench_batched_groupby.py`` — one model set over
 [x -> y] with 200 groups — but here the timed region is model
 *construction* (partition, KDE fits, regressor solves, residual state),
@@ -16,8 +16,8 @@ the derived residual-variance bins within 1e-9: they square residuals,
 which amplifies coefficient rounding by the data's magnitude).
 
 The nonlinear legs (tree / gboost / xgboost) time the level-synchronous
-forest kernel (:mod:`repro.core.batched_forest`) against the chunked
-``map_parallel`` per-group fits it replaced: each must be >= 3x faster
+forest kernel (:mod:`repro.core.batched_forest`) against the same
+per-group loop of row-wise fits: each must be >= 3x faster
 with **bit-identical** node arrays (feature / threshold / left / right /
 value across every boosting round — exact equality, not a tolerance).
 
@@ -37,6 +37,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.core.config import DBEstConfig
 from repro.core.groupby import GroupByModelSet
 
@@ -56,7 +57,7 @@ FOREST_REPEATS = 1  # loop-path booster fits run seconds per build
 # minimal stacked design.
 REGRESSORS = ("plr", "linear")
 # Nonlinear legs time the level-synchronous forest kernel against the
-# chunked per-group fits; their node arrays must match exactly.
+# per-group row-wise fits; their node arrays must match exactly.
 FOREST_REGRESSORS = ("tree", "gboost", "xgboost")
 
 
@@ -75,11 +76,12 @@ def _train(regressor: str, batched: bool, seed: int = 7) -> GroupByModelSet:
         regressor=regressor, min_group_rows=30,
         integration_points=65, random_seed=seed,
     )
-    return GroupByModelSet.train(
+    trainer = GroupByModelSet.train if batched else reference.train_set
+    return trainer(
         sample_x=x, sample_y=y, sample_groups=groups,
         full_groups=groups, full_x=x, full_y=y,
         table_name="bench", x_columns=("x",), y_column="y", group_column="g",
-        config=config, batched=batched,
+        config=config,
     )
 
 

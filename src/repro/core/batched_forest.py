@@ -1,13 +1,11 @@
 """Level-synchronous forest training across all groups at once.
 
-The last per-group Python loop in the train path was nonlinear
-regression: tree, gboost, xgboost and ensemble models were fitted one
-group at a time through chunked ``map_parallel``.  This module grows
-**every group's tree simultaneously**, replacing per-group recursion
-with a fixed number of whole-forest array passes per depth level, and
-emits node arrays **bit-identical** to the scalar fits (same edges, same
-gains, same node order), so the chunked path survives purely as the
-opt-out fallback and parity oracle.
+Nonlinear regressors (tree, gboost, xgboost, ensemble) fitted row-wise
+take one recursive fit per group.  This module grows **every group's
+tree simultaneously**, replacing per-group recursion with a fixed number
+of whole-forest array passes per depth level, and emits node arrays
+**bit-identical** to the scalar fits (same edges, same gains, same node
+order); the row-wise fits survive only as the parity oracle.
 
 Algorithm — level-synchronous growth
 ------------------------------------
@@ -157,15 +155,16 @@ def _compute_bins(
         pos = np.cumsum(keep, axis=1) - 1
         gi, qi = np.nonzero(keep)
         edges[gi, j, pos[gi, qi]] = quant[gi, qi]
+    # searchsorted(side="left") counts the edges strictly below x: the
+    # scalar path's #{edges < x}, ties included; the +inf padding never
+    # counts.  One call per (group, feature) keeps the temporaries at
+    # one group's rows, where gathering every row's edge vector would
+    # hold rows x width floats at once.
     codes = np.empty((n_rows, d), dtype=np.int32)
-    block = max(1, _BLOCK_ELEMENTS // max(d * width, 1))
-    for r0 in range(0, n_rows, block):
-        r1 = min(r0 + block, n_rows)
-        gb = group_ids[r0:r1]
-        # #{edges < x} == searchsorted(edges, x, side="left"); exact
-        # comparisons keep ties in the same bin as the scalar path, and
-        # the +inf padding never counts.
-        codes[r0:r1] = (edges[gb] < x2d[r0:r1, :, None]).sum(axis=2)
+    for g in range(n_groups):
+        seg = slice(starts[g], starts[g] + counts[g])
+        for j in range(d):
+            codes[seg, j] = np.searchsorted(edges[g, j], x2d[seg, j])
     return _GroupBins(codes, edge_counts + 1, edges)
 
 
@@ -628,8 +627,8 @@ def fit_forest_regressors(
     original order, ``offsets`` its group boundaries.  Returns
     ``(regressors, in_sample_pred)`` — the prediction is None for
     ensembles, whose residual pass runs per group — or None when
-    ``config.regressor`` is not a forest family (callers fall back to the
-    chunked per-group path).
+    ``config.regressor`` is not a forest family (the trainer sends
+    ``linear`` and ``plr`` to its stacked solve instead).
     """
     if config.regressor not in _FOREST_REGRESSORS:
         return None

@@ -1,16 +1,16 @@
 """Batched training: build every group's model in shared vectorised passes.
 
-The scalar path in :mod:`repro.core.groupby` trains one group at a time —
-re-scanning the whole sample with a boolean mask per group (O(N·G)), then
-fitting one KDE and one regressor per group through many small numpy
-calls.  PR 1 removed exactly this shape of bottleneck from the *answer*
-side; this module applies the same treatment to the *build* side:
+The row-wise way to train a GROUP BY set fits one KDE and one regressor
+per group through many small numpy calls.  This module fits all groups
+at once instead, and it is the only trainer: a scalar
+:class:`~repro.core.model.ColumnSetModel` is trained as a set of one
+group (paper §2.3 treats each group value as a separate data set).
 
 * **Partition once** — a single stable ``np.argsort`` over the group
   column plus ``np.searchsorted`` boundaries yields every group's rows as
-  a contiguous slice (:class:`GroupPartition`).  Both the batched and
-  scalar trainers and the ``RawGroup`` collection share it, so no path
-  re-masks the table per group.
+  a contiguous slice (:class:`GroupPartition`).  The trainer and the
+  ``RawGroup`` collection share it, so no path re-masks the table per
+  group.
 * **All KDEs in one pass** — per-group Scott/Silverman bandwidths come
   from segmented moment reductions (``np.add.reduceat`` sums, vectorised
   quantiles over a within-group sort); the binned fast path histograms
@@ -21,11 +21,11 @@ side; this module applies the same treatment to the *build* side:
   equations: batched Gram matrices (``np.einsum`` over equal-sized
   groups, blocked outer-product reductions otherwise) solved with one
   ``np.linalg.solve`` over a ``(G, k, k)`` stack plus two iterative
-  refinement sweeps against the least-squares residual.  Groups whose Gram
-  matrix is ill-conditioned (ties, degenerate features) fall back to the
-  scalar trainer's own ``np.linalg.lstsq`` on their design slice, which
-  keeps coefficients bit-identical exactly where stacked solves would
-  drift.
+  refinement sweeps against the least-squares residual.  Groups with
+  fewer rows than coefficients, or whose Gram matrix is ill-conditioned
+  (ties, degenerate features), take the row-wise fit's own
+  ``np.linalg.lstsq`` on their design slice, which keeps coefficients
+  bit-identical exactly where stacked solves would drift.
 * **Residual-variance state in bulk** — the law-of-total-variance bins of
   :meth:`ColumnSetModel._fit_residual_variance` are rebuilt with the same
   segmented quantiles and one global ``np.bincount``.
@@ -39,22 +39,23 @@ side; this module applies the same treatment to the *build* side:
   Multivariate OLS regressors join the stacked normal-equation solve with
   a ``d + 1``-wide design.
 * **Nonlinear regressors** (tree / gboost / xgboost / ensemble) cannot be
-  stacked into a linear solve; their fits run through *chunked*
-  ``map_parallel`` with row-weighted chunks while the density work stays
-  batched.
+  stacked into a linear solve; they grow through the level-synchronous
+  forest kernel (:mod:`repro.core.batched_forest`), all groups' trees one
+  depth level at a time.
 
 Contract
 ========
 
 :func:`train_batched_models` returns the per-group ``models`` dict of a
 :class:`~repro.core.groupby.GroupByModelSet` — 1-D and multivariate
-predicate sets alike.  The scalar loop in ``GroupByModelSet.train``
-remains as the parity oracle and as an explicit opt-out
-(``DBEstConfig(batched_train=False)`` or ``train(..., batched=False)``),
-no longer as a routing fallback: batched-trained models match
-loop-trained models to ~1e-12 in every parameter (centres, weights and
-knots bit for bit; solver-touched coefficients to 1e-12 relative) and
-answer queries identically to 1e-9.
+predicate sets alike — and ``ColumnSetModel.train``'s one model.  There
+is no opt-out.  The row-wise fits are kept as the parity oracle in the
+``reference`` module (``train_model`` per sample, ``train_groups`` per
+set): models trained here match them to ~1e-12 in every parameter
+(centres, weights and knots bit for bit; solver-touched coefficients to
+1e-12 relative; forest node arrays bit for bit) and answer queries
+identically to 1e-9.  Multivariate ``plr`` is refused, as the row-wise
+spline fit refuses it.
 """
 
 from __future__ import annotations
@@ -65,9 +66,10 @@ import numpy as np
 
 from repro.core.batched import _chunk_by_budget, _csr_take_rows
 from repro.core.config import DBEstConfig
-from repro.core.model import ColumnSetModel, _make_regressor
-from repro.core.parallel import chunk_bounds_weighted, map_parallel
+from repro.core.batched_forest import fit_forest_regressors
+from repro.core.model import ColumnSetModel
 from repro.errors import InvalidParameterError, ModelTrainingError
+from repro.ml.ensemble import EnsembleRegressor
 from repro.ml.kde import KernelDensityEstimator, MultivariateKDE
 from repro.ml.linear import LinearRegressor, PiecewiseLinearRegressor
 from repro.obs import get_registry
@@ -233,7 +235,7 @@ def segmented_quantiles(
     virtual index, gamma and two-branch lerp replicate numpy's ``linear``
     interpolation operation for operation, so results match per-group
     ``np.quantile`` calls bitwise — which keeps downstream ``np.unique``
-    knot deduplication in agreement with the scalar trainer even when
+    knot deduplication in agreement with the row-wise fit even when
     quantiles tie.
     """
     qs = np.asarray(qs, dtype=np.float64)
@@ -288,7 +290,7 @@ def _fit_densities(
     nf = counts.astype(np.float64)
 
     # Bandwidths: Scott / Silverman via segmented moments, or a shared
-    # fixed float.  The degenerate-spread fallback mirrors the scalar
+    # fixed float.  The degenerate-spread fallback mirrors the row-wise
     # rules (max(|x[0]|, 1) * 1e-3).
     if isinstance(config.kde_bandwidth, str):
         mean = np.add.reduceat(xs, starts) / nf
@@ -355,7 +357,7 @@ def _fit_densities(
             )
 
     # Degenerate (constant) columns become point masses; everyone else
-    # reflects kernels at the observed domain, exactly as the scalar fit.
+    # reflects kernels at the observed domain, exactly as KDE.fit does.
     span = hi - lo
     degenerate = span <= 1e-12 * np.maximum(
         1.0, np.maximum(np.abs(lo), np.abs(hi))
@@ -424,7 +426,7 @@ def _fit_multivariate_densities(
     # the range (min == max, bit-robust where sigma == 0.0 depends on
     # summation order) and take the rules' degenerate-spread fallback
     # (max(|x[0]|, 1) * 1e-3), exactly as MultivariateKDE.fit does; the
-    # scalar fit's 1e-12 floor is applied at the end.
+    # fit's 1e-12 floor is applied at the end.
     degenerate = lo == hi
     mean = np.add.reduceat(xmat, starts, axis=0) / nf[:, None]
     dev2 = xmat - np.repeat(mean, counts, axis=0)
@@ -456,7 +458,7 @@ def _fit_multivariate_densities(
     # Binned compression: np.histogramdd per group becomes bincounts over
     # (group, flattened d-dimensional bin) codes, with groups chunked so
     # the dense cell array stays inside the element budget (bins**d grows
-    # fast with d; one group per bincount is the scalar fit's footprint).
+    # fast with d; one group per bincount is the row-wise fit's footprint).
     binned_centres: dict[int, np.ndarray] = {}
     binned_weights: dict[int, np.ndarray] = {}
     binned_sel = np.empty(0, dtype=np.int64)
@@ -506,7 +508,7 @@ def _fit_multivariate_densities(
                 cell_counts = chunk_counts[b - b0]
                 kept = np.flatnonzero(cell_counts)
                 # C-order flat index -> per-dimension digit, exactly the
-                # meshgrid-ravel layout the scalar fit keeps.
+                # meshgrid-ravel layout MultivariateKDE.fit keeps.
                 binned_centres[g] = np.stack(
                     [
                         centres_axes[b, j, (kept // digit_strides[j]) % n_bins]
@@ -580,27 +582,25 @@ def _solve_stacked(
     Well-conditioned groups: one stacked ``np.linalg.solve`` of the
     normal equations plus two iterative-refinement sweeps against the
     least-squares residual (empirically within ~1e-13 of lstsq).  Groups
-    whose refinement step is large or non-finite — ill-conditioned or
-    rank-deficient designs — fall back to per-group ``np.linalg.lstsq``
-    on the same design rows, bit-identical to the scalar trainer.
+    with fewer rows than coefficients (always rank-deficient: the
+    refinement can settle on a solution that is not lstsq's minimum-norm
+    one), and groups whose refinement step is large or non-finite —
+    ill-conditioned designs — take per-group ``np.linalg.lstsq`` on the
+    same design rows, bit-identical to the row-wise fit.
     """
     counts = np.diff(local_offsets)
     nb = counts.size
     k = design.shape[1]
     gram, rhs = _batched_gram(design, y, local_offsets)
-    solvable = np.ones(nb, dtype=bool)
+    solvable = counts >= k
     try:
-        solved = np.linalg.solve(gram, rhs[..., None])[..., 0]
+        refined = np.linalg.solve(gram[solvable], rhs[solvable][..., None])
     except np.linalg.LinAlgError:
         # Some group is exactly singular (LU hit a zero pivot): identify
         # the positive-definite subset and solve only it.  Rare path.
-        eigenvalues = np.linalg.eigvalsh(gram)
-        solvable = eigenvalues[:, 0] > 0
-        solved = np.zeros((nb, k))
-        if solvable.any():
-            solved[solvable] = np.linalg.solve(
-                gram[solvable], rhs[solvable][..., None]
-            )[..., 0]
+        solvable &= np.linalg.eigvalsh(gram)[:, 0] > 0
+        refined = np.linalg.solve(gram[solvable], rhs[solvable][..., None])
+    refined = refined[..., 0]
 
     coef = np.empty((nb, k))
     good = np.zeros(nb, dtype=bool)
@@ -622,7 +622,6 @@ def _solve_stacked(
         # Two refinement sweeps: the first recovers most of the
         # normal-equation error, the second polishes well-conditioned
         # groups to ~1e-13 of lstsq; the final step size certifies it.
-        refined = solved[si]
         step = np.zeros(si.size)
         for _ in range(2):
             residual = y_s - np.einsum("nk,nk->n", design_s, refined[row_map])
@@ -734,16 +733,14 @@ def _fit_residual_states(
             xr = xs[rows]
             rr = residual_sq[rows]
             local_g = np.repeat(np.arange(ssel.size), counts[ssel])
-            # codes = searchsorted(edges_g, x, side="left"): the number
-            # of edges strictly below x, computed with exact comparisons
-            # in blocks so ties land in the same bin as the scalar path.
-            codes = np.empty(xr.shape[0], dtype=np.int64)
-            block = max(1, _BLOCK_ELEMENTS // max(n_edges, 1))
-            for r0 in range(0, xr.shape[0], block):
-                r1 = min(r0 + block, xr.shape[0])
-                codes[r0:r1] = (
-                    edges[local_g[r0:r1]] < xr[r0:r1, None]
-                ).sum(axis=1)
+            # The row-wise pass's searchsorted(edges_g, x, side="left"),
+            # one call per group: gathering every row's edge vector costs
+            # rows x n_edges (up to 63) floats of memory and comparisons.
+            row_off = np.concatenate(([0], np.cumsum(counts[ssel])))
+            codes = np.concatenate([
+                np.searchsorted(edges[i], xr[row_off[i]:row_off[i + 1]])
+                for i in range(ssel.size)
+            ])
             flat_codes = local_g * (n_edges + 1) + codes
             length = ssel.size * (n_edges + 1)
             counts_bins = np.bincount(flat_codes, minlength=length)
@@ -760,53 +757,6 @@ def _fit_residual_states(
                 edges_out[g] = edges[i]
                 var_out[g] = per_bin[i]
     return edges_out, var_out, global_var
-
-
-# -- nonlinear regressors (chunked map_parallel fallback) --------------------
-
-
-def _fit_regressor_chunk(payload: tuple) -> list:
-    """Fit one chunk of (x, y) group samples (module-level: picklable)."""
-    from repro.core.parallel import limit_blas_threads
-
-    limit_blas_threads(1)
-    pairs, config = payload
-    fitted = []
-    for x, y in pairs:
-        regressor = _make_regressor(config)
-        regressor.fit(x, y)
-        fitted.append(regressor)
-    return fitted
-
-
-def _fit_generic_regressors(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    offsets: np.ndarray,
-    config: DBEstConfig,
-) -> list:
-    """Fit nonlinear per-group regressors, fanned over row-weighted chunks.
-
-    Tree and boosted models have no stacked closed form; the fits are the
-    same calls the scalar trainer makes (hence bit-identical models), but
-    grouped into ``map_parallel`` chunks balanced by row count so a pool
-    can overlap them.
-    """
-    counts = np.diff(offsets)
-    segments = [
-        (xs[offsets[g]:offsets[g + 1]], ys[offsets[g]:offsets[g + 1]])
-        for g in range(counts.shape[0])
-    ]
-    workers = config.n_workers
-    if workers <= 1 or len(segments) <= 1:
-        return _fit_regressor_chunk((segments, config))
-    bounds = chunk_bounds_weighted(counts.tolist(), workers)
-    payloads = [(segments[a:b], config) for a, b in bounds]
-    results = map_parallel(
-        _fit_regressor_chunk, payloads, workers=workers,
-        mode=config.parallel_mode,
-    )
-    return [regressor for chunk in results for regressor in chunk]
 
 
 # -- orchestration -----------------------------------------------------------
@@ -827,22 +777,26 @@ def _train_batched_models_nd(
 
     Densities are product-kernel KDEs built from the shared vectorised
     passes of :func:`_fit_multivariate_densities`; OLS regressors join a
-    ``d + 1``-wide stacked normal-equation solve; everything else (tree /
-    boosted / ensemble regressors) runs the same per-group fits the
-    scalar loop makes, fanned over row-weighted chunks.
+    ``d + 1``-wide stacked normal-equation solve; tree / boosted /
+    ensemble regressors grow through the forest kernel.  Piecewise-linear
+    splines are 1-D only.
     """
     d = sample_x.shape[1]
     modelled = np.flatnonzero(modelled_mask)
     if modelled.size == 0:
-        # All-raw sets never construct a density, so the bandwidth is
-        # never consumed — the scalar loop trains them without error.
+        # All-raw sets never construct a density or a regressor, so
+        # neither check below applies to them.
         return {}
     if not isinstance(config.kde_bandwidth, str):
-        # The same contract ColumnSetModel.train enforces per group.
         raise InvalidParameterError(
             f"multivariate predicates need a bandwidth rule name, "
             f"got the fixed bandwidth {config.kde_bandwidth!r}; "
             f"the product-kernel KDE has one bandwidth per dimension"
+        )
+    fit_regressors = sample_y is not None and y_column is not None
+    if fit_regressors and config.regressor == "plr":
+        raise ModelTrainingError(
+            "PiecewiseLinearRegressor supports 1-D features only"
         )
     # Validates the KDE configuration once and supplies the defaults the
     # trainer mirrors, exactly as the 1-D leg does.
@@ -867,8 +821,6 @@ def _train_batched_models_nd(
     ys = None
     regressors: list = [None] * modelled.size
     residual_global = np.zeros(modelled.size)
-    generic = False
-    fit_regressors = sample_y is not None and y_column is not None
     if fit_regressors:
         ys = np.asarray(sample_y, dtype=np.float64).ravel()[source_rows]
         if config.regressor == "linear":
@@ -885,34 +837,19 @@ def _train_batched_models_nd(
             residual_sq *= residual_sq
             residual_global = np.add.reduceat(residual_sq, offsets[:-1]) / counts
         else:
-            forest = None
-            if getattr(config, "batched_forest", True):
-                from repro.core.batched_forest import fit_forest_regressors
-
-                forest = fit_forest_regressors(xmat, ys, offsets, config)
-            if forest is None:
-                # "plr" raises inside the per-group fit exactly as the
-                # scalar trainer does (piecewise-linear splines are 1-D
-                # only); with the forest kernel opted out, tree/boosted/
-                # ensemble regressors fit per group as the parity oracle.
-                generic = True
-                regressors = _fit_generic_regressors(xmat, ys, offsets, config)
-            else:
-                regressors, forest_pred = forest
-                if forest_pred is None:
-                    # Ensembles route prediction through a selected
-                    # constituent; their residual pass runs per group.
-                    generic = True
-                else:
-                    # Multivariate models keep only the global residual
-                    # scalar; the kernel's in-sample predictions are
-                    # bit-identical to regressor.predict on each slice.
-                    residual_sq = ys - forest_pred
-                    residual_sq *= residual_sq
-                    for i in range(modelled.size):
-                        residual_global[i] = float(
-                            np.mean(residual_sq[offsets[i]:offsets[i + 1]])
-                        )
+            regressors, forest_pred = fit_forest_regressors(
+                xmat, ys, offsets, config
+            )
+            if forest_pred is not None:
+                # Multivariate models keep only the global residual
+                # scalar; the kernel's in-sample predictions are
+                # bit-identical to regressor.predict on each slice.
+                residual_sq = ys - forest_pred
+                residual_sq *= residual_sq
+                for i in range(modelled.size):
+                    residual_global[i] = float(
+                        np.mean(residual_sq[offsets[i]:offsets[i + 1]])
+                    )
 
     models: dict = {}
     values = (
@@ -950,10 +887,11 @@ def _train_batched_models_nd(
             config=config,
             residual_var_global=float(residual_global[i]),
         )
-        if generic and regressors[i] is not None:
-            # No stacked residual form for nonlinear regressors: the
-            # scalar trainer's own pass on the same rows (global scalar
-            # only — multivariate models keep no residual bins).
+        if isinstance(regressors[i], EnsembleRegressor):
+            # Ensembles predict through a selected constituent, so there
+            # is no in-sample prediction to reuse: the model's own
+            # residual pass on the same rows (global scalar only —
+            # multivariate models keep no residual bins).
             seg = slice(offsets[i], offsets[i + 1])
             model._fit_residual_variance(xmat[seg], ys[seg])
         models[value] = model
@@ -1002,8 +940,8 @@ def train_batched_models(
     modelled = np.flatnonzero(modelled_mask)
     if modelled.size == 0:
         return {}
-    # Validates the KDE configuration once (the scalar path validates it
-    # per group) and supplies the class defaults the trainer mirrors.
+    # Validates the KDE configuration once and supplies the class
+    # defaults the trainer mirrors.
     template = KernelDensityEstimator(
         bandwidth=config.kde_bandwidth,
         binned=config.kde_binned,
@@ -1036,7 +974,6 @@ def train_batched_models(
     residual_edges: list = [None] * modelled.size
     residual_var: list = [None] * modelled.size
     residual_global = np.zeros(modelled.size)
-    generic = False
     if fit_regressors:
         ys = np.asarray(sample_y, dtype=np.float64).ravel()[source_rows]
         if stacked:
@@ -1062,38 +999,21 @@ def train_batched_models(
                 _fit_residual_states(xs, offsets, xs_sorted, residual_sq)
             )
         else:
-            forest = None
-            if getattr(config, "batched_forest", True):
-                from repro.core.batched_forest import fit_forest_regressors
-
-                forest = fit_forest_regressors(
-                    xs[:, None], ys, offsets, config
+            regressors, forest_pred = fit_forest_regressors(
+                xs[:, None], ys, offsets, config
+            )
+            if forest_pred is not None:
+                # The kernel's in-sample predictions are bit-identical
+                # to regressor.predict on each group slice, so the
+                # stacked residual pass applies as-is.
+                residual_sq = ys - forest_pred
+                residual_sq *= residual_sq
+                if xs_sorted is None:
+                    group_ids = np.repeat(np.arange(modelled.size), counts)
+                    xs_sorted = xs[np.lexsort((xs, group_ids))]
+                residual_edges, residual_var, residual_global = (
+                    _fit_residual_states(xs, offsets, xs_sorted, residual_sq)
                 )
-            if forest is None:
-                generic = True
-                regressors = _fit_generic_regressors(xs, ys, offsets, config)
-            else:
-                regressors, forest_pred = forest
-                if forest_pred is None:
-                    # Ensembles route prediction through a selected
-                    # constituent; their residual pass runs per group.
-                    generic = True
-                else:
-                    # The kernel's in-sample predictions are bit-identical
-                    # to regressor.predict on each group slice, so the
-                    # stacked residual pass applies as-is.
-                    residual_sq = ys - forest_pred
-                    residual_sq *= residual_sq
-                    if xs_sorted is None:
-                        group_ids = np.repeat(
-                            np.arange(modelled.size), counts
-                        )
-                        xs_sorted = xs[np.lexsort((xs, group_ids))]
-                    residual_edges, residual_var, residual_global = (
-                        _fit_residual_states(
-                            xs, offsets, xs_sorted, residual_sq
-                        )
-                    )
 
     models: dict = {}
     values = (
@@ -1136,9 +1056,9 @@ def train_batched_models(
             residual_var=residual_var[i],
             residual_var_global=float(residual_global[i]),
         )
-        if generic and regressors[i] is not None:
-            # Nonlinear regressors have no stacked residual form; this is
-            # the scalar trainer's own pass on the same data.
+        if isinstance(regressors[i], EnsembleRegressor):
+            # Ensembles predict through a selected constituent: the
+            # model's own residual pass on the same rows.
             seg = slice(offsets[i], offsets[i + 1])
             model._fit_residual_variance(xs[seg][:, None], ys[seg])
         models[value] = model

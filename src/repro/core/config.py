@@ -56,24 +56,6 @@ class DBEstConfig:
         densities, mixed regressor presence, 1-D regressors that export
         no pieces) silently fall back to the scalar loop regardless of
         this flag.
-    batched_train:
-        Build GROUP BY model sets with the batched trainer
-        (:mod:`repro.core.batched_train`): one sorted partition of the
-        sample, all KDEs — 1-D and multivariate product kernels — from
-        segmented reductions and one global bincount, all
-        OLS/piecewise-linear regressors from stacked normal equations.
-        Nonlinear regressors keep batched density fitting and train
-        through the level-synchronous forest kernel (see
-        ``batched_forest``).
-    batched_forest:
-        Train nonlinear regressors (tree / gboost / xgboost / ensemble)
-        with the level-synchronous histogram-forest kernel
-        (:mod:`repro.core.batched_forest`): all groups' trees grow one
-        depth level at a time through shared bincount/cumsum passes,
-        producing node arrays bit-identical to per-group fits.  Off
-        routes them through the chunked per-group ``map_parallel``
-        fallback (the parity oracle).  Only consulted when
-        ``batched_train`` is on.
     serve_cache_bytes:
         Resident-model byte budget of the lazy on-disk model store
         (:class:`~repro.serve.store.ModelStore`).  Loaded models are
@@ -153,8 +135,6 @@ class DBEstConfig:
     n_workers: int = 1
     parallel_mode: str = "process"
     batched_groupby: bool = True
-    batched_train: bool = True
-    batched_forest: bool = True
     serve_cache_bytes: int = 256 << 20
     store_format: str = "pickle"
     serve_deadline_ms: float | None = None

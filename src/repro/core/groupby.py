@@ -6,11 +6,14 @@ regressor per group.  Paper "Limitations": groups with too few rows are
 kept as raw tuples and aggregated exactly, since models over tiny groups
 are an overkill.
 
-Queries default to the batched evaluator (:mod:`repro.core.batched`),
-which answers all groups in one vectorised pass; the per-group loop, in
-which every model answers through a one-group evaluator of its own,
-remains for model sets the batched path cannot stack and as an explicit
-opt-out (``answer(..., batched=False)``).
+Every set is trained by the batched trainer
+(:mod:`repro.core.batched_train`), which fits all groups' densities and
+regressors in shared vectorised passes; a scalar model is the same fit
+over one group.  Queries default to the batched evaluator
+(:mod:`repro.core.batched`), which answers all groups in one vectorised
+pass; the per-group loop, in which every model answers through a
+one-group evaluator of its own, remains for model sets the batched path
+cannot stack and as an explicit opt-out (``answer(..., batched=False)``).
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import numpy as np
 from repro.core.aggregates import Ranges, answer_aggregate
 from repro.core.batched_train import GroupPartition, train_batched_models
 from repro.core.config import DBEstConfig
-from repro.core.model import ColumnSetModel
 from repro.core.parallel import chunk_items, map_parallel
 from repro.errors import ModelTrainingError
 from repro.obs import get_registry
@@ -261,7 +263,6 @@ class GroupByModelSet:
         group_column: str,
         config: DBEstConfig | None = None,
         population_scale: float = 1.0,
-        batched: bool | None = None,
         streaming: bool = False,
     ) -> "GroupByModelSet":
         """Build per-group models from a uniform sample.
@@ -274,16 +275,14 @@ class GroupByModelSet:
         ``full_*`` as itself being a sample of a ``scale``-times-larger
         population (join models).
 
-        Training defaults to the batched trainer
-        (:mod:`repro.core.batched_train`), which partitions the sample
-        once and fits every group's density and regressor — 1-D and
-        multivariate predicate sets alike — in shared vectorised passes;
-        the per-group loop below remains as the parity oracle and as an
-        explicit opt-out (``batched=False`` or
-        ``DBEstConfig(batched_train=False)``).
-        Either way both trainers and the ``RawGroup`` collection share
-        one sorted partition per table — no path re-scans the sample or
-        the full data per group.
+        The batched trainer (:mod:`repro.core.batched_train`) fits every
+        modelled group's density and regressor — 1-D and multivariate
+        predicate sets alike — in shared vectorised passes over one
+        sorted partition of the sample; the ``RawGroup`` collection
+        slices one sorted partition of the full data, so no path
+        re-scans either per group.  Multivariate ``plr`` sets with a
+        modelled group raise :class:`ModelTrainingError` (the spline is
+        1-D only).
 
         ``streaming=True`` additionally retains the sample arrays, the
         sample partition, and per-group Algorithm-L reservoir state so
@@ -336,37 +335,17 @@ class GroupByModelSet:
                     population_scale=population_scale,
                 )
 
-        use_batched = (
-            batched
-            if batched is not None
-            else getattr(config, "batched_train", True)
+        models = train_batched_models(
+            sample_x,
+            sample_y,
+            sample_part,
+            modelled_mask,
+            table_name=table_name,
+            x_columns=tuple(x_columns),
+            y_column=y_column,
+            population=population,
+            config=config,
         )
-        models: dict | None = None
-        if use_batched:
-            models = train_batched_models(
-                sample_x,
-                sample_y,
-                sample_part,
-                modelled_mask,
-                table_name=table_name,
-                x_columns=tuple(x_columns),
-                y_column=y_column,
-                population=population,
-                config=config,
-            )
-        if models is None:
-            models = cls._fit_scalar_models(
-                sample_x,
-                sample_y,
-                sample_part,
-                np.flatnonzero(modelled_mask),
-                values_list,
-                population,
-                table_name,
-                tuple(x_columns),
-                y_column,
-                config,
-            )
         instance = cls(
             table_name=table_name,
             x_columns=tuple(x_columns),
@@ -389,44 +368,6 @@ class GroupByModelSet:
             )
         return instance
 
-    @staticmethod
-    def _fit_scalar_models(
-        sample_x: np.ndarray,
-        sample_y: np.ndarray | None,
-        sample_part: GroupPartition,
-        indices: np.ndarray,
-        values_list: list,
-        population: dict,
-        table_name: str,
-        x_columns: tuple[str, ...],
-        y_column: str | None,
-        config: DBEstConfig,
-    ) -> dict:
-        """Per-group scalar fits over ``indices`` — the parity-oracle loop.
-
-        Shared by full training (all modelled groups) and streaming
-        refresh (the dirty subset), so both paths fit through literally
-        the same code when the batched trainer is opted out.
-        """
-        models: dict = {}
-        sample_y_arr = None if sample_y is None else np.asarray(sample_y)
-        for g in indices.tolist():
-            rows = sample_part.rows(g)
-            gx = sample_x[rows, :]
-            if gx.shape[1] == 1:
-                gx = gx[:, 0]
-            gy = None if sample_y_arr is None else sample_y_arr[rows]
-            models[values_list[g]] = ColumnSetModel.train(
-                gx,
-                gy,
-                table_name=table_name,
-                x_columns=x_columns,
-                y_column=y_column,
-                population_size=population[values_list[g]],
-                config=config,
-            )
-        return models
-
     # -- streaming refresh --------------------------------------------------
 
     @property
@@ -438,7 +379,6 @@ class GroupByModelSet:
         delta_x: np.ndarray,
         delta_y: np.ndarray | None,
         delta_groups: np.ndarray,
-        batched: bool | None = None,
     ) -> list:
         """Absorb appended rows and re-fit only the groups they touch.
 
@@ -566,40 +506,20 @@ class GroupByModelSet:
             v: int(round(stream.full_counts[v] * stream.population_scale))
             for v in values_list
         }
-        use_batched = (
-            batched
-            if batched is not None
-            else getattr(config, "batched_train", True)
-        )
         registry = get_registry()
         refit_t0 = perf_counter()
-        new_models: dict | None = None
-        if use_batched:
-            new_models = train_batched_models(
-                stream.sample_x,
-                stream.sample_y,
-                part,
-                modelled_mask,
-                table_name=self.table_name,
-                x_columns=self.x_columns,
-                y_column=self.y_column,
-                population=population,
-                config=config,
-                group_mask=dirty_mask,
-            )
-        if new_models is None:
-            new_models = self._fit_scalar_models(
-                stream.sample_x,
-                stream.sample_y,
-                part,
-                np.flatnonzero(modelled_mask & dirty_mask),
-                values_list,
-                population,
-                self.table_name,
-                self.x_columns,
-                self.y_column,
-                config,
-            )
+        new_models = train_batched_models(
+            stream.sample_x,
+            stream.sample_y,
+            part,
+            modelled_mask,
+            table_name=self.table_name,
+            x_columns=self.x_columns,
+            y_column=self.y_column,
+            population=population,
+            config=config,
+            group_mask=dirty_mask,
+        )
         self.models.update(new_models)
         for value in promoted:
             del self.raw_groups[value]

@@ -17,17 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.core.config import DBEstConfig
-from repro.errors import (
-    InvalidParameterError,
-    ModelTrainingError,
-    UnsupportedQueryError,
-)
-from repro.ml.ensemble import EnsembleRegressor
-from repro.ml.gbm import GradientBoostingRegressor
-from repro.ml.kde import KernelDensityEstimator, MultivariateKDE
-from repro.ml.linear import LinearRegressor, PiecewiseLinearRegressor
-from repro.ml.tree import DecisionTreeRegressor
-from repro.ml.xgb import XGBRegressor
+from repro.errors import ModelTrainingError, UnsupportedQueryError
 from repro.sql.ast import AggregateCall
 
 Ranges = dict[str, tuple[float, float]]
@@ -35,28 +25,11 @@ Ranges = dict[str, tuple[float, float]]
 _EMPTY_DENSITY = 1e-12
 
 
-def _make_regressor(config: DBEstConfig):
-    """Instantiate the configured regression model."""
-    seed = config.random_seed
-    if config.regressor == "ensemble":
-        return EnsembleRegressor(random_state=seed)
-    if config.regressor == "gboost":
-        return GradientBoostingRegressor(random_state=seed)
-    if config.regressor == "xgboost":
-        return XGBRegressor(random_state=seed)
-    if config.regressor == "plr":
-        return PiecewiseLinearRegressor()
-    if config.regressor == "linear":
-        return LinearRegressor()
-    if config.regressor == "tree":
-        return DecisionTreeRegressor()
-    raise InvalidParameterError(f"unknown regressor {config.regressor!r}")
-
-
 class ColumnSetModel:
     """Density estimator + regression model over one column set.
 
-    Build with :meth:`train`; answer a parsed aggregate call with
+    Build with :meth:`train`, which fits the sample as a one-group set
+    through the GROUP BY trainer; answer a parsed aggregate call with
     :meth:`answer`, or one aggregate with the ``count`` / ``avg`` /
     ``sum_`` / ``variance_*`` / ``percentile`` shorthands.  Every answer
     comes from a one-group :class:`~repro.core.batched.BatchedGroupEvaluator`
@@ -109,14 +82,16 @@ class ColumnSetModel:
 
         ``x`` is (n,) for one predicate column or (n, d) for multivariate
         predicates; ``y`` may be None for density-only models (queries
-        that aggregate the predicate column itself).
+        that aggregate the predicate column itself).  The sample is
+        trained as a set of one group by the GROUP BY trainer
+        (:func:`~repro.core.batched_train.train_batched_models`), so a
+        scalar model and every group of a set come from the same fit.
         """
+        from repro.core.batched_train import GroupPartition, train_batched_models
+
         config = config or DBEstConfig()
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            x_matrix = x[:, None]
-        else:
-            x_matrix = x
+        x_matrix = x[:, None] if x.ndim == 1 else x
         n, d = x_matrix.shape
         if n == 0:
             raise ModelTrainingError("cannot train a model on an empty sample")
@@ -124,56 +99,21 @@ class ColumnSetModel:
             raise ModelTrainingError(
                 f"{len(tuple(x_columns))} x-column names for {d}-dim features"
             )
-
-        if d == 1:
-            density = KernelDensityEstimator(
-                bandwidth=config.kde_bandwidth,
-                binned=config.kde_binned,
-                n_bins=config.kde_bins,
-                bin_threshold=config.kde_bin_threshold,
-            ).fit(x_matrix[:, 0])
-        else:
-            if not isinstance(config.kde_bandwidth, str):
-                raise InvalidParameterError(
-                    f"multivariate predicates need a bandwidth rule name, "
-                    f"got the fixed bandwidth {config.kde_bandwidth!r}; "
-                    f"the product-kernel KDE has one bandwidth per dimension"
-                )
-            density = MultivariateKDE(
-                bandwidth=config.kde_bandwidth,
-                binned=config.kde_binned,
-                bins_per_dim=config.kde_bins_per_dim,
-                bin_threshold=config.kde_bin_threshold,
-            ).fit(x_matrix)
-
-        regressor = None
         if y is not None and y_column is not None:
             y = np.asarray(y, dtype=np.float64).ravel()
             if y.shape[0] != n:
                 raise ModelTrainingError(
                     f"x has {n} rows but y has {y.shape[0]}"
                 )
-            regressor = _make_regressor(config)
-            features = x_matrix[:, 0] if d == 1 else x_matrix
-            regressor.fit(features, y)
-
-        domain = [
-            (float(x_matrix[:, j].min()), float(x_matrix[:, j].max()))
-            for j in range(d)
-        ]
-        model = cls(
-            table_name=table_name,
-            x_columns=tuple(x_columns),
-            y_column=y_column,
-            population_size=population_size,
-            density=density,
-            regressor=regressor,
-            x_domain=domain,
-            n_sample=n,
-            integration_points=config.integration_points,
+        one_group = GroupPartition(
+            order=np.arange(n), offsets=np.asarray([0, n]), values=np.zeros(1)
         )
-        if regressor is not None:
-            model._fit_residual_variance(x_matrix, y)
+        (model,) = train_batched_models(
+            x_matrix, y, one_group, np.ones(1, dtype=bool),
+            table_name=table_name, x_columns=tuple(x_columns),
+            y_column=y_column, population={0.0: population_size},
+            config=config,
+        ).values()
         return model
 
     @classmethod
@@ -197,9 +137,9 @@ class ColumnSetModel:
 
         The batched trainer (:mod:`repro.core.batched_train`) fits every
         group's density, regressor and residual-variance state in shared
-        vectorised passes and builds the per-group model objects through
-        this constructor; the result matches :meth:`train` on the same
-        sample.  ``residual_*`` may be omitted for density-only models.
+        vectorised passes and builds the per-group model objects (and
+        :meth:`train`'s one) through this constructor.  ``residual_*``
+        may be omitted for density-only models.
         """
         model = cls(
             table_name=table_name,

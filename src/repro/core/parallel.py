@@ -149,81 +149,3 @@ def chunk_items(items: Sequence, n_chunks: int) -> list[list]:
     """Split items into at most ``n_chunks`` contiguous, non-empty chunks."""
     items = list(items)
     return [items[a:b] for a, b in chunk_bounds(len(items), n_chunks)]
-
-
-def chunk_bounds_weighted(
-    weights: Sequence[float], n_chunks: int
-) -> list[tuple[int, int]]:
-    """Contiguous (start, end) ranges balancing total *weight* per chunk.
-
-    :func:`chunk_bounds` balances item counts; this balances a per-item
-    cost measure instead (the batched trainer weighs groups by row count
-    so one giant group does not serialise a whole worker chunk behind
-    many small ones).  The heaviest chunk is minimised — the classic
-    linear-partition problem, solved by binary search on chunk capacity —
-    and while that leaves fewer than ``n_chunks`` chunks, the heaviest
-    splittable chunk is subdivided at its weighted midpoint so spare
-    workers still get work.  Every chunk is non-empty and at most
-    ``n_chunks`` are returned.
-    """
-    if n_chunks < 1:
-        raise InvalidParameterError(f"n_chunks must be >= 1, got {n_chunks}")
-    weights = [max(float(w), 0.0) for w in weights]
-    n = len(weights)
-    if n == 0:
-        return []
-    n_chunks = min(n_chunks, n)
-    total = sum(weights)
-    if total <= 0.0:
-        return chunk_bounds(n, n_chunks)
-
-    def chunks_needed(cap: float) -> int:
-        needed, acc = 1, 0.0
-        for weight in weights:
-            if acc > 0.0 and acc + weight > cap:
-                needed += 1
-                acc = weight
-            else:
-                acc += weight
-        return needed
-
-    lo, cap = max(weights), total  # cap = total is always feasible
-    for _ in range(60):
-        mid = 0.5 * (lo + cap)
-        if chunks_needed(mid) <= n_chunks:
-            cap = mid
-        else:
-            lo = mid
-
-    bounds: list[tuple[int, int]] = []
-    start = 0
-    acc = 0.0
-    for i, weight in enumerate(weights):
-        if acc > 0.0 and acc + weight > cap and len(bounds) < n_chunks - 1:
-            bounds.append((start, i))
-            start = i
-            acc = 0.0
-        acc += weight
-    bounds.append((start, n))
-
-    while len(bounds) < n_chunks:
-        best = None
-        for idx, (a, b) in enumerate(bounds):
-            if b - a < 2:
-                continue
-            weight = sum(weights[a:b])
-            if best is None or weight > best[0]:
-                best = (weight, idx)
-        if best is None:
-            break
-        weight, idx = best
-        a, b = bounds[idx]
-        acc = 0.0
-        cut = b - 1
-        for i in range(a, b - 1):
-            acc += weights[i]
-            if acc >= 0.5 * weight:
-                cut = i + 1
-                break
-        bounds[idx:idx + 1] = [(a, cut), (cut, b)]
-    return bounds

@@ -15,8 +15,6 @@ model DBEst depends on lives here:
 * :class:`EnsembleRegressor` — constituent regressors plus a learned
   classifier that routes each query range to the best constituent
   (paper §3 "Regression Model Selection").
-* :class:`GridSearchCV`, :func:`k_fold_indices`, :func:`train_test_split`
-  — model selection utilities.
 """
 
 from repro.ml.classifier import DecisionTreeClassifier
@@ -33,7 +31,6 @@ from repro.ml.metrics import (
     relative_error,
     root_mean_squared_error,
 )
-from repro.ml.model_selection import GridSearchCV, k_fold_indices, train_test_split
 from repro.ml.tree import DecisionTreeRegressor
 from repro.ml.xgb import XGBRegressor
 
@@ -42,14 +39,12 @@ __all__ = [
     "DecisionTreeRegressor",
     "EnsembleRegressor",
     "GradientBoostingRegressor",
-    "GridSearchCV",
     "HistogramDensity",
     "KernelDensityEstimator",
     "LinearRegressor",
     "MultivariateKDE",
     "PiecewiseLinearRegressor",
     "XGBRegressor",
-    "k_fold_indices",
     "mean_absolute_error",
     "mean_relative_error",
     "mean_squared_error",
@@ -57,5 +52,4 @@ __all__ = [
     "relative_error",
     "root_mean_squared_error",
     "scott_bandwidth",
-    "train_test_split",
 ]

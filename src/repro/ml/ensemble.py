@@ -9,12 +9,13 @@ that answers that region best.  This module reproduces that design.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable, Mapping
 from functools import partial
 
 import numpy as np
 
-from repro.errors import InvalidParameterError, ModelTrainingError
+from repro.errors import ModelTrainingError
 from repro.ml.classifier import DecisionTreeClassifier
 from repro.ml.gbm import GradientBoostingRegressor
 from repro.ml.linear import PiecewiseLinearRegressor
@@ -225,6 +226,20 @@ class EnsembleRegressor:
             x = x[:, 0]
         return ens._fit_selector(x, y)
 
+    def __setstate__(self, state: dict) -> None:
+        # The unpickler interns attribute names but not the keyword names
+        # of the factory partials.  Intern both, so a loaded ensemble
+        # holds the same key objects as a fitted one and re-pickles to
+        # the same bytes.
+        self.__dict__.update((sys.intern(k), v) for k, v in state.items())
+        self._factories = {
+            name: partial(
+                factory.func, *factory.args,
+                **{sys.intern(k): v for k, v in factory.keywords.items()},
+            ) if isinstance(factory, partial) else factory
+            for name, factory in self._factories.items()
+        }
+
     # -- prediction --------------------------------------------------------
 
     @property
@@ -249,43 +264,6 @@ class EnsembleRegressor:
         """Predict with the constituent chosen for the given query range."""
         name = self.select(lb, ub)
         return self.models_[name].predict(X)
-
-    def predict_many(
-        self,
-        grids: list[np.ndarray],
-        bounds: list[tuple[float | None, float | None]] | None = None,
-    ) -> list[np.ndarray]:
-        """Predict over many (grid, query-range) pairs in batched passes.
-
-        Each grid is routed through :meth:`select` with its own ``(lb,
-        ub)`` bounds — exactly as per-grid :meth:`predict` calls would be
-        — but grids landing on the same constituent are evaluated in one
-        concatenated pass (constituents predict point-wise, so values are
-        identical to per-grid calls).
-        """
-        if bounds is None:
-            bounds = [(None, None)] * len(grids)
-        if len(bounds) != len(grids):
-            raise InvalidParameterError(
-                f"{len(grids)} grids but {len(bounds)} bounds"
-            )
-        names = [self.select(lb, ub) for lb, ub in bounds]
-        out: list[np.ndarray | None] = [None] * len(grids)
-        for name in set(names):
-            positions = [i for i, n in enumerate(names) if n == name]
-            model = self.models_[name]
-            chosen = [grids[i] for i in positions]
-            if hasattr(model, "predict_many"):
-                results = model.predict_many(chosen)
-            else:
-                flat = np.concatenate(
-                    [np.asarray(g, dtype=np.float64) for g in chosen]
-                )
-                splits = np.cumsum([np.asarray(g).shape[0] for g in chosen])[:-1]
-                results = np.split(model.predict(flat), splits)
-            for i, values in zip(positions, results):
-                out[i] = values
-        return out
 
     def export_constituent_states(self) -> dict[str, tuple] | None:
         """Batch state for every constituent, keyed by name, or None.

@@ -148,20 +148,6 @@ class GradientBoostingRegressor:
             out = out + self.learning_rate * tree.predict(X)
         return out
 
-    def predict_many(self, grids: list[np.ndarray]) -> list[np.ndarray]:
-        """Predict over many point sets with one pass through the stages.
-
-        One concatenated :meth:`predict` walks each constituent tree once
-        instead of once per grid; per-point predictions are independent of
-        batch composition, so the values match per-grid calls exactly.
-        """
-        if not grids:
-            return []
-        flat = np.concatenate([np.asarray(g, dtype=np.float64) for g in grids])
-        values = self.predict(flat)
-        splits = np.cumsum([np.asarray(g).shape[0] for g in grids])[:-1]
-        return np.split(values, splits)
-
     def export_batch_state(self) -> tuple | None:
         """Flat ``("forest", ...)`` state for stacking into batched evaluators.
 

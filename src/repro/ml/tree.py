@@ -9,6 +9,7 @@ label sums gives every candidate split's variance reduction in one
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,6 +217,14 @@ class DecisionTreeRegressor:
 
     # -- prediction ----------------------------------------------------------
 
+    def __setstate__(self, state: dict) -> None:
+        # The unpickler interns attribute names but not nested dict keys.
+        # Intern both, so a loaded tree holds the same key objects as a
+        # fitted one and re-pickles to the same bytes.
+        self.__dict__.update((sys.intern(k), v) for k, v in state.items())
+        if self._nodes is not None:
+            self._nodes = {sys.intern(k): v for k, v in self._nodes.items()}
+
     @property
     def is_fitted(self) -> bool:
         return self._nodes is not None
@@ -246,22 +255,6 @@ class DecisionTreeRegressor:
             )
             position[rows] = children
         return nodes["value"][position]
-
-    def predict_many(self, grids: list[np.ndarray]) -> list[np.ndarray]:
-        """Predict over many point sets in one tree traversal.
-
-        Concatenates the grids, runs a single vectorised :meth:`predict`,
-        and splits the result back — per-point predictions are independent
-        of batch composition, so the values are identical to per-grid
-        calls while the tree is walked once instead of ``len(grids)``
-        times.
-        """
-        if not grids:
-            return []
-        flat = np.concatenate([np.asarray(g, dtype=np.float64) for g in grids])
-        values = self.predict(flat)
-        splits = np.cumsum([np.asarray(g).shape[0] for g in grids])[:-1]
-        return np.split(values, splits)
 
     def export_batch_state(self) -> tuple | None:
         """``("forest", base, lr, offsets, feature, threshold, left, right,

@@ -1,10 +1,10 @@
-"""Reference integrals that the engine's answers are checked against.
+"""Reference fits and integrals that the engine is checked against.
 
-The engine never imports this module; tests and benchmarks do.  Every
-function here takes one :class:`~repro.core.model.ColumnSetModel` and
-integrates it with generic quadrature, one point at a time, so it shares
+The engine never imports this module; tests and benchmarks do.  The
+integrals take one :class:`~repro.core.model.ColumnSetModel` and
+integrate it with generic quadrature, one point at a time, so they share
 no code with the closed form (:mod:`repro.integrate.moments`) or the
-batched grids (:mod:`repro.core.batched`) that it checks:
+batched grids (:mod:`repro.core.batched`) that they check:
 
 * :func:`quad_fraction` / :func:`quad_moments` - adaptive QUADPACK
   (:func:`repro.integrate.adaptive_quad`, the method the paper names) of
@@ -17,6 +17,17 @@ batched grids (:mod:`repro.core.batched`) that it checks:
 * :func:`four_leg_percentile` - PERCENTILE by bisecting the KDE's own
   reflected CDF;
 * :func:`answer` - a whole aggregate from the functions above.
+
+The fits are the row-wise ones the batched trainer
+(:mod:`repro.core.batched_train`) replaces:
+
+* :func:`train_model` - one density ``fit`` and one regressor ``fit`` on
+  one sample;
+* :func:`train_groups` - :func:`train_model` per group, with the
+  arguments of :func:`~repro.core.batched_train.train_batched_models`;
+* :func:`train_set` - a ``GroupByModelSet`` whose models come from
+  :func:`train_groups`, with the raw groups and populations built
+  independently of ``GroupByModelSet.train``.
 """
 
 from __future__ import annotations
@@ -25,10 +36,22 @@ import math
 
 import numpy as np
 
+from repro.core.batched_train import GroupPartition
+from repro.core.config import DBEstConfig
+from repro.core.groupby import GroupByModelSet, RawGroup
 from repro.core.model import _EMPTY_DENSITY, ColumnSetModel, Ranges
-from repro.errors import InvalidParameterError, UnsupportedQueryError
+from repro.errors import (
+    InvalidParameterError,
+    ModelTrainingError,
+    UnsupportedQueryError,
+)
 from repro.integrate import adaptive_quad, bisect, simpson_grid
 from repro.ml.ensemble import EnsembleRegressor
+from repro.ml.gbm import GradientBoostingRegressor
+from repro.ml.kde import KernelDensityEstimator, MultivariateKDE
+from repro.ml.linear import LinearRegressor, PiecewiseLinearRegressor
+from repro.ml.tree import DecisionTreeRegressor
+from repro.ml.xgb import XGBRegressor
 from repro.sql.ast import AggregateCall
 
 
@@ -217,6 +240,189 @@ def four_leg_percentile(model: ColumnSetModel, p: float, ranges: Ranges) -> floa
     return bisect(
         lambda t: (density.cdf(np.asarray([t]))[0] - base) / total - p,
         lo, hi, tol=1e-9,
+    )
+
+
+# -- training: the row-wise fit and the per-group loop --------------------------
+
+
+def make_regressor(config: DBEstConfig):
+    """Instantiate the configured regression model."""
+    seed = config.random_seed
+    if config.regressor == "ensemble":
+        return EnsembleRegressor(random_state=seed)
+    if config.regressor == "gboost":
+        return GradientBoostingRegressor(random_state=seed)
+    if config.regressor == "xgboost":
+        return XGBRegressor(random_state=seed)
+    if config.regressor == "plr":
+        return PiecewiseLinearRegressor()
+    if config.regressor == "linear":
+        return LinearRegressor()
+    if config.regressor == "tree":
+        return DecisionTreeRegressor()
+    raise InvalidParameterError(f"unknown regressor {config.regressor!r}")
+
+
+def train_model(
+    x: np.ndarray,
+    y: np.ndarray | None,
+    table_name: str,
+    x_columns: tuple[str, ...] | list[str],
+    y_column: str | None,
+    population_size: int,
+    config: DBEstConfig | None = None,
+) -> "ColumnSetModel":
+    """Fit density and regression models from sample arrays, row-wise.
+
+    The per-group fit the GROUP BY trainer replaces: one
+    ``KernelDensityEstimator`` / ``MultivariateKDE`` ``fit`` and one
+    regressor ``fit`` on this sample alone.
+
+    ``x`` is (n,) for one predicate column or (n, d) for multivariate
+    predicates; ``y`` may be None for density-only models (queries
+    that aggregate the predicate column itself).
+    """
+    config = config or DBEstConfig()
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        x_matrix = x[:, None]
+    else:
+        x_matrix = x
+    n, d = x_matrix.shape
+    if n == 0:
+        raise ModelTrainingError("cannot train a model on an empty sample")
+    if len(tuple(x_columns)) != d:
+        raise ModelTrainingError(
+            f"{len(tuple(x_columns))} x-column names for {d}-dim features"
+        )
+
+    if d == 1:
+        density = KernelDensityEstimator(
+            bandwidth=config.kde_bandwidth,
+            binned=config.kde_binned,
+            n_bins=config.kde_bins,
+            bin_threshold=config.kde_bin_threshold,
+        ).fit(x_matrix[:, 0])
+    else:
+        if not isinstance(config.kde_bandwidth, str):
+            raise InvalidParameterError(
+                f"multivariate predicates need a bandwidth rule name, "
+                f"got the fixed bandwidth {config.kde_bandwidth!r}; "
+                f"the product-kernel KDE has one bandwidth per dimension"
+            )
+        density = MultivariateKDE(
+            bandwidth=config.kde_bandwidth,
+            binned=config.kde_binned,
+            bins_per_dim=config.kde_bins_per_dim,
+            bin_threshold=config.kde_bin_threshold,
+        ).fit(x_matrix)
+
+    regressor = None
+    if y is not None and y_column is not None:
+        y = np.asarray(y, dtype=np.float64).ravel()
+        if y.shape[0] != n:
+            raise ModelTrainingError(
+                f"x has {n} rows but y has {y.shape[0]}"
+            )
+        regressor = make_regressor(config)
+        features = x_matrix[:, 0] if d == 1 else x_matrix
+        regressor.fit(features, y)
+
+    domain = [
+        (float(x_matrix[:, j].min()), float(x_matrix[:, j].max()))
+        for j in range(d)
+    ]
+    model = ColumnSetModel(
+        table_name=table_name,
+        x_columns=tuple(x_columns),
+        y_column=y_column,
+        population_size=population_size,
+        density=density,
+        regressor=regressor,
+        x_domain=domain,
+        n_sample=n,
+        integration_points=config.integration_points,
+    )
+    if regressor is not None:
+        model._fit_residual_variance(x_matrix, y)
+    return model
+
+
+def train_groups(
+    sample_x: np.ndarray,
+    sample_y: np.ndarray | None,
+    sample_part: GroupPartition,
+    modelled_mask: np.ndarray,
+    table_name: str,
+    x_columns: tuple[str, ...],
+    y_column: str | None,
+    population: dict,
+    config: DBEstConfig,
+) -> dict:
+    """:func:`~repro.core.batched_train.train_batched_models` as a loop:
+    :func:`train_model` on each modelled group's rows."""
+    values = sample_part.values.tolist()
+    models: dict = {}
+    for g in np.flatnonzero(modelled_mask).tolist():
+        rows = sample_part.rows(g)
+        gx = sample_x[rows, :]
+        models[values[g]] = train_model(
+            gx[:, 0] if gx.shape[1] == 1 else gx,
+            None if sample_y is None else np.asarray(sample_y)[rows],
+            table_name=table_name,
+            x_columns=x_columns,
+            y_column=y_column,
+            population_size=population[values[g]],
+            config=config,
+        )
+    return models
+
+
+def train_set(
+    sample_x: np.ndarray,
+    sample_y: np.ndarray | None,
+    sample_groups: np.ndarray,
+    full_groups: np.ndarray,
+    full_x: np.ndarray,
+    full_y: np.ndarray | None,
+    table_name: str,
+    x_columns: tuple[str, ...] | list[str],
+    y_column: str | None,
+    group_column: str,
+    config: DBEstConfig | None = None,
+    population_scale: float = 1.0,
+) -> GroupByModelSet:
+    """A ``GroupByModelSet`` as ``GroupByModelSet.train`` builds it, with
+    every model fitted by :func:`train_groups` (no streaming state)."""
+    config = config or DBEstConfig()
+    x = np.asarray(sample_x, dtype=np.float64)
+    x = x[:, None] if x.ndim == 1 else x
+    full_part = GroupPartition.from_groups(full_groups)
+    sample_part = GroupPartition.from_groups(
+        sample_groups, values=full_part.values
+    )
+    modelled = sample_part.counts >= config.min_group_rows
+    values = full_part.values.tolist()
+    population = {
+        value: int(round(count * population_scale))
+        for value, count in zip(values, full_part.counts.tolist())
+    }
+    models = train_groups(
+        x, sample_y, sample_part, modelled, table_name, tuple(x_columns),
+        y_column, population, config,
+    )
+    fx = np.asarray(full_x, dtype=np.float64)
+    raw_groups = {}
+    for g in np.flatnonzero(~modelled).tolist():
+        rows = full_part.rows(g)
+        raw_groups[values[g]] = RawGroup(
+            fx[rows], None if full_y is None else np.asarray(full_y)[rows],
+            population_scale=population_scale,
+        )
+    return GroupByModelSet(
+        table_name, x_columns, y_column, group_column, models, raw_groups,
+        config,
     )
 
 

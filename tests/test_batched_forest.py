@@ -1,15 +1,16 @@
 """Parity suite: level-synchronous forest training vs per-group fits.
 
-The chunked per-group fit path (``_fit_generic_regressors``) is the
+Per-group row-wise fits (``repro.reference.make_regressor(config).fit``
+on each group's slice, as ``reference.train_groups`` makes them) are the
 reference oracle; the batched forest kernel
 (:mod:`repro.core.batched_forest`) must produce **bit-identical** node
 arrays — feature / threshold / left / right / value, same dtypes, same
 DFS order — for every tree, every boosting round, every constituent,
 across 1-D and multivariate fits, every depth, and the degenerate
 groups (constant features, single rows, sub-split-size groups) that
-stress the stop rules.  Routing is pinned too: the default train path
-must never fall back to the per-group loop for forest regressors, and
-``batched_forest=False`` must restore the chunked oracle.
+stress the stop rules.  A guard pins the train paths: no scalar model,
+set, refresh or engine build may call a row-wise density or regressor
+``fit``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import DBEstConfig, GroupByModelSet
+from repro import reference
+from repro.core import DBEst, DBEstConfig, GroupByModelSet
 from repro.core.batched_forest import (
     _compute_bins,
     _fit_cart_forest,
@@ -26,11 +28,15 @@ from repro.core.batched_forest import (
     _slice_nodes,
     fit_forest_regressors,
 )
+from repro.core.model import ColumnSetModel
 from repro.ml._histogram import BinnedFeatures
 from repro.ml.ensemble import EnsembleRegressor
 from repro.ml.gbm import GradientBoostingRegressor
+from repro.ml.kde import KernelDensityEstimator, MultivariateKDE
+from repro.ml.linear import LinearRegressor
 from repro.ml.tree import DecisionTreeRegressor
 from repro.ml.xgb import XGBRegressor
+from repro.storage.table import Table
 
 NODE_KEYS = ("feature", "threshold", "left", "right", "value")
 
@@ -58,7 +64,7 @@ def make_flat(d: int = 1, seed: int = 3):
 
 
 def scalar_fit(factory, x2d: np.ndarray, y: np.ndarray, offsets, g: int):
-    """The oracle: one per-group fit exactly as the chunked path makes it."""
+    """The oracle: one row-wise fit on group ``g``'s slice."""
     seg = slice(int(offsets[g]), int(offsets[g + 1]))
     model = factory()
     gx = x2d[seg]
@@ -239,14 +245,12 @@ class TestKernelDepths:
 
 
 class TestFitForestRegressors:
-    """The config-driven entry point vs scalar ``_make_regressor`` fits."""
+    """The config-driven entry point vs ``reference.make_regressor`` fits."""
 
     @pytest.mark.parametrize("regressor",
                              ["tree", "gboost", "xgboost", "ensemble"])
     @pytest.mark.parametrize("d", [1, 2])
     def test_bitwise_node_parity(self, regressor, d):
-        from repro.core.model import _make_regressor
-
         x2d, y, offsets = make_flat(d=d)
         config = DBEstConfig(regressor=regressor, random_seed=3)
         result = fit_forest_regressors(x2d, y, offsets, config)
@@ -259,21 +263,19 @@ class TestFitForestRegressors:
             assert pred is not None and pred.shape == y.shape
         for g in range(offsets.shape[0] - 1):
             oracle = scalar_fit(
-                lambda: _make_regressor(config), x2d, y, offsets, g
+                lambda: reference.make_regressor(config), x2d, y, offsets, g
             )
             assert_regressor_equal(regressors[g], oracle,
                                    f"{regressor} d={d} group {g}")
 
     def test_ensemble_selector_routes_identically(self):
-        from repro.core.model import _make_regressor
-
         x2d, y, offsets = make_flat(d=1)
         config = DBEstConfig(regressor="ensemble", random_seed=3)
         regressors, _ = fit_forest_regressors(x2d, y, offsets, config)
         grid = np.linspace(0.0, 100.0, 129)
         for g in (0, 6):  # large groups, where the selector actually trains
             oracle = scalar_fit(
-                lambda: _make_regressor(config), x2d, y, offsets, g
+                lambda: reference.make_regressor(config), x2d, y, offsets, g
             )
             for lb, ub in ((0.0, 10.0), (20.0, 80.0), (5.0, 95.0),
                            (None, None)):
@@ -302,77 +304,77 @@ class TestFitForestRegressors:
         np.testing.assert_array_equal(pred, oracle.predict(x2d[:, 0]))
 
 
-# -- train-path routing: forest kernel by default, chunked loop on opt-out ---
+# -- guard: no train path fits a model row-wise ------------------------------
 
 
-def _train_set(monkeypatch=None, **overrides):
-    rng = np.random.default_rng(5)
-    counts = np.asarray(GROUP_SIZES)
-    groups = np.repeat(np.arange(counts.shape[0]), counts)
-    x = rng.uniform(0.0, 100.0, size=groups.shape[0])
-    y = (groups + 1.0) * 0.1 * x + rng.normal(0.0, 1.0, size=groups.shape[0])
-    config = DBEstConfig(
-        min_group_rows=30, random_seed=5, integration_points=65, **overrides
-    )
-    return GroupByModelSet.train(
-        sample_x=x, sample_y=y, sample_groups=groups,
-        full_groups=groups, full_x=x, full_y=y,
-        table_name="t", x_columns=("x",), y_column="y", group_column="g",
-        config=config,
-    )
+ROW_WISE_FITS = (
+    KernelDensityEstimator, MultivariateKDE, LinearRegressor,
+    DecisionTreeRegressor, GradientBoostingRegressor, XGBRegressor,
+    EnsembleRegressor,
+)
 
 
-class TestTrainPathRouting:
-    @pytest.mark.parametrize("regressor", ["tree", "gboost", "xgboost",
-                                           "ensemble"])
-    def test_default_path_never_fits_per_group(self, monkeypatch, regressor):
-        # Regression guard: if the per-group chunked loop reappears on the
-        # default path for forest regressors, this fails loudly.
-        def forbidden(payload):
-            raise AssertionError(
-                "per-group regressor loop used on the default batched path"
-            )
+def _guard_fits(monkeypatch) -> None:
+    """Make every row-wise ``fit`` raise.  ``PiecewiseLinearRegressor``
+    is left alone: an ensemble fits its ``plr`` constituent per group."""
+    for cls in ROW_WISE_FITS:
+        def forbidden(self, *args, _name=cls.__name__, **kwargs):
+            raise AssertionError(f"{_name}.fit called on a train path")
 
-        monkeypatch.setattr(
-            "repro.core.batched_train._fit_regressor_chunk", forbidden
+        monkeypatch.setattr(cls, "fit", forbidden)
+
+
+class TestNoRowWiseFits:
+    @pytest.mark.parametrize("regressor, d", [
+        (regressor, d)
+        for regressor in ("plr", "linear", "tree", "gboost", "xgboost",
+                          "ensemble")
+        for d in (1, 2)
+        if (regressor, d) != ("plr", 2)  # refused: the spline is 1-D only
+    ])
+    def test_train_paths(self, monkeypatch, regressor, d):
+        _guard_fits(monkeypatch)
+        rng = np.random.default_rng(5)
+        counts = np.asarray(GROUP_SIZES)
+        groups = np.repeat(np.arange(counts.shape[0]), counts)
+        x = rng.uniform(0.0, 100.0, size=(groups.shape[0], d))
+        y = (groups + 1.0) * 0.1 * x[:, 0] + rng.normal(
+            0.0, 1.0, size=groups.shape[0]
         )
-        model_set = _train_set(regressor=regressor)
-        assert len(model_set.models) == 6  # groups >= min_group_rows
-        assert all(m.regressor.is_fitted for m in model_set.models.values())
-
-    def test_opt_out_restores_the_chunked_oracle(self, monkeypatch):
-        from repro.core import batched_train
-
-        calls = []
-        original = batched_train._fit_regressor_chunk
-
-        def spy(payload):
-            calls.append(1)
-            return original(payload)
-
-        monkeypatch.setattr(
-            "repro.core.batched_train._fit_regressor_chunk", spy
+        columns = ("x",) if d == 1 else ("x", "z")
+        features = x[:, 0] if d == 1 else x
+        config = DBEstConfig(
+            regressor=regressor, min_group_rows=30, random_seed=5,
+            integration_points=65,
         )
-        model_set = _train_set(regressor="tree", batched_forest=False)
-        assert calls  # the chunked per-group path did the fitting
-        assert len(model_set.models) == 6
-
-    def test_opt_out_models_match_the_forest_kernel(self):
-        forest = _train_set(regressor="gboost")
-        chunked = _train_set(regressor="gboost", batched_forest=False)
-        assert set(forest.models) == set(chunked.models)
-        for value, expected in chunked.models.items():
-            assert_regressor_equal(forest.models[value].regressor,
-                                   expected.regressor, f"group {value}")
-            # Residual state squares predictions; the batched pass sums
-            # with reduceat, so parity here is 1e-9 (the answer bound),
-            # not bitwise.
-            np.testing.assert_allclose(
-                forest.models[value]._residual_var_global,
-                expected._residual_var_global, rtol=1e-9,
+        for ys, y_column in ((y, "y"), (None, None)):
+            model = ColumnSetModel.train(
+                features, ys, "t", columns, y_column, 1000, config
             )
-            if expected._residual_edges is not None:
-                np.testing.assert_allclose(
-                    forest.models[value]._residual_var,
-                    expected._residual_var, rtol=1e-9,
-                )
+            assert (model.regressor is None) == (ys is None)
+            model_set = GroupByModelSet.train(
+                sample_x=features, sample_y=ys, sample_groups=groups,
+                full_groups=groups, full_x=features, full_y=ys,
+                table_name="t", x_columns=columns, y_column=y_column,
+                group_column="g", config=config, streaming=True,
+            )
+            assert len(model_set.models) == 6  # groups >= min_group_rows
+            dirty = model_set.refresh(
+                features[:40], None if ys is None else ys[:40], groups[:40]
+            )
+            assert dirty == [0]
+
+        engine = DBEst(config=config)
+        engine.register_table(Table(
+            {"x": x[:, 0], "z": x[:, -1], "y": y, "g": groups}, name="t"
+        ))
+        engine.build_model("t", x=list(columns), y="y", sample_size=400)
+        engine.build_model("t", x=list(columns), y="y", group_by="g",
+                           sample_size=400, streaming=True)
+        engine.build_model("t", x=list(columns), group_by="g",
+                           sample_size=400)
+        refreshed = engine.append_rows("t", Table(
+            {"x": x[:40, 0], "z": x[:40, -1], "y": y[:40], "g": groups[:40]},
+            name="t",
+        ))
+        assert refreshed

@@ -339,19 +339,6 @@ class TestBatchExportHooks:
         )
         np.testing.assert_allclose(manual, plr.predict(grid), rtol=1e-12)
 
-    def test_tree_predict_many_matches(self):
-        from repro.ml.gbm import GradientBoostingRegressor
-
-        rng = np.random.default_rng(8)
-        x = rng.uniform(0, 10, 400)
-        y = x**2 + rng.normal(0, 1, 400)
-        model = GradientBoostingRegressor(n_estimators=10, random_state=8)
-        model.fit(x, y)
-        grids = [np.linspace(0, 10, 17), np.linspace(2, 5, 9)]
-        many = model.predict_many(grids)
-        for grid, batch in zip(grids, many):
-            np.testing.assert_array_equal(batch, model.predict(grid))
-
 
 class TestDeepForestTraversal:
     def test_chain_shaped_tree_beyond_64_levels(self):

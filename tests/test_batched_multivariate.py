@@ -2,8 +2,9 @@
 
 Multivariate predicate sets (product-kernel KDEs) train through
 :mod:`repro.core.batched_train` and answer through
-:mod:`repro.core.batched`.  Batched-trained models must match
-loop-trained models to 1e-12 in every parameter (centres and weights
+:mod:`repro.core.batched`.  Batched-trained models must match the
+row-wise oracle (``repro.reference.train_set``) to 1e-12 in every
+parameter (centres and weights
 bit for bit on the binned path); the stacked evaluator, the per-group
 loop of one-group evaluators and the tensor-Simpson / ``integrate_box``
 oracle of :mod:`repro.reference` must answer COUNT/SUM/AVG/VARIANCE/STDDEV
@@ -69,7 +70,8 @@ def make_data(n_groups: int = 6, rows: int = 150, seed: int = 3):
 def train_pair(
     regressor: str = "linear", seed: int = 3, y: bool = True, **config_kwargs
 ) -> tuple[GroupByModelSet, GroupByModelSet]:
-    """The same multivariate sample through the batched and the loop path."""
+    """The same multivariate sample through the batched trainer and the
+    row-wise oracle."""
     x, ys, groups, keep = make_data(seed=seed)
     config = DBEstConfig(
         regressor=regressor, min_group_rows=30, random_seed=seed,
@@ -84,10 +86,7 @@ def train_pair(
         y_column="y" if y else None,
         group_column="g", config=config,
     )
-    return (
-        GroupByModelSet.train(batched=True, **kwargs),
-        GroupByModelSet.train(batched=False, **kwargs),
-    )
+    return GroupByModelSet.train(**kwargs), reference.train_set(**kwargs)
 
 
 def assert_density_parity(batched, scalar, context: str) -> None:
@@ -209,8 +208,8 @@ class TestMultivariateParity:
                 table_name="t", x_columns=("a", "b"), y_column=None,
                 group_column="g", config=config,
             )
-            batched = GroupByModelSet.train(batched=True, **kwargs)
-            scalar = GroupByModelSet.train(batched=False, **kwargs)
+            batched = GroupByModelSet.train(**kwargs)
+            scalar = reference.train_set(**kwargs)
             for value in scalar.models:
                 got = batched.models[value].density._h
                 expected = scalar.models[value].density._h
@@ -250,8 +249,8 @@ class TestBinnedMultivariateParity:
             table_name="t", x_columns=("a", "b"), y_column="y",
             group_column="g", config=config,
         )
-        batched = GroupByModelSet.train(batched=True, **kwargs)
-        scalar = GroupByModelSet.train(batched=False, **kwargs)
+        batched = GroupByModelSet.train(**kwargs)
+        scalar = reference.train_set(**kwargs)
         for value, expected in scalar.models.items():
             got = batched.models[value].density
             assert got._centres.shape[0] <= 16 * 16
@@ -283,8 +282,8 @@ class TestMemoryBounds:
             table_name="t", x_columns=("a", "b"), y_column=None,
             group_column="g", config=config,
         )
-        batched = GroupByModelSet.train(batched=True, **kwargs)
-        scalar = GroupByModelSet.train(batched=False, **kwargs)
+        batched = GroupByModelSet.train(**kwargs)
+        scalar = reference.train_set(**kwargs)
         for value, expected in scalar.models.items():
             got = batched.models[value].density
             np.testing.assert_array_equal(got._centres, expected.density._centres)
@@ -369,7 +368,7 @@ class TestUnsupportedAggregates:
             )
 
 
-# -- routing: defaults, opt-outs, evaluator stacking -------------------------
+# -- routing: the one trainer, evaluator stacking ----------------------------
 
 
 class TestRouting:
@@ -386,15 +385,11 @@ class TestRouting:
         assert calls  # multivariate training went through the batched trainer
         assert batched.batched_evaluator() is not None
 
-    def test_opt_outs_reach_the_scalar_loop(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("batched trainer called despite opt-out")
-
-        monkeypatch.setattr("repro.core.groupby.train_batched_models", forbidden)
+    def test_answer_opt_out_reaches_the_scalar_loop(self):
         x, y, groups, keep = make_data()
         config = DBEstConfig(
             regressor="linear", min_group_rows=30, random_seed=3,
-            batched_train=False, batched_groupby=False,
+            batched_groupby=False,
         )
         model_set = GroupByModelSet.train(
             sample_x=x[keep], sample_y=y[keep], sample_groups=groups[keep],
@@ -505,17 +500,17 @@ class TestConfigPlumbing:
     def test_all_raw_set_ignores_float_bandwidth_like_the_scalar_loop(self):
         # No group is modelled, so no density is ever built: the batched
         # trainer must not reject the (1-D-valid) float bandwidth the
-        # scalar loop never consumes either.
+        # row-wise loop never consumes either.
         rng = np.random.default_rng(29)
         x = rng.normal(size=(40, 2))
         groups = np.repeat(np.arange(2), 20)
         config = DBEstConfig(kde_bandwidth=0.5, min_group_rows=10**6)
-        for batched in (True, False):
-            model_set = GroupByModelSet.train(
+        for trainer in (GroupByModelSet.train, reference.train_set):
+            model_set = trainer(
                 sample_x=x, sample_y=None, sample_groups=groups,
                 full_groups=groups, full_x=x, full_y=None,
                 table_name="t", x_columns=("a", "b"), y_column=None,
-                group_column="g", config=config, batched=batched,
+                group_column="g", config=config,
             )
             assert model_set.models == {}
             assert len(model_set.raw_groups) == 2

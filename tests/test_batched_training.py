@@ -1,14 +1,17 @@
-"""Parity suite: batched group-by *training* vs the per-group loop oracle.
+"""Parity suite: batched *training* vs the row-wise oracle.
 
-The scalar per-group training loop in ``GroupByModelSet.train`` is the
+The row-wise fits in :mod:`repro.reference` (``train_model`` on one
+sample, ``train_groups`` / ``train_set`` looping it over groups) are the
 reference implementation; the batched trainer
 (:mod:`repro.core.batched_train`) must produce the same models — KDE
 centres/weights/bandwidths, regressor coefficients and knots, residual
 variance state — to 1e-12, and the resulting model sets must answer
 every aggregate identically, across modelled groups, raw groups and
-point-mass columns.  The shared :class:`GroupPartition`, the segmented
-quantile kernel and the weighted chunking helper are unit-tested here
-too.
+point-mass columns.  A scalar ``ColumnSetModel.train`` is the batched
+trainer over one group and is held to ``reference.train_model`` the
+same way; no production train path may call a row-wise ``fit``.  The
+shared :class:`GroupPartition` and the segmented quantile kernel are
+unit-tested here too.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import math
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.core import DBEstConfig, GroupByModelSet
 from repro.core.batched_train import (
     GroupPartition,
@@ -25,8 +29,7 @@ from repro.core.batched_train import (
     train_batched_models,
 )
 from repro.core.model import ColumnSetModel
-from repro.core.parallel import chunk_bounds_weighted
-from repro.errors import InvalidParameterError
+from repro.errors import ModelTrainingError
 from repro.sql.ast import AggregateCall
 
 RTOL = 1e-12
@@ -61,7 +64,7 @@ def make_data(n_groups: int = 8, rows: int = 150, seed: int = 3):
 def train_pair(
     regressor: str = "plr", seed: int = 3, y: bool = True, **config_kwargs
 ) -> tuple[GroupByModelSet, GroupByModelSet]:
-    """The same sample trained through the batched and the loop path."""
+    """The same sample trained by the batched trainer and the oracle."""
     x, ys, groups, keep = make_data(seed=seed)
     config = DBEstConfig(
         regressor=regressor, min_group_rows=30, random_seed=seed,
@@ -76,10 +79,7 @@ def train_pair(
         y_column="y" if y else None,
         group_column="g", config=config,
     )
-    return (
-        GroupByModelSet.train(batched=True, **kwargs),
-        GroupByModelSet.train(batched=False, **kwargs),
-    )
+    return GroupByModelSet.train(**kwargs), reference.train_set(**kwargs)
 
 
 def assert_density_parity(batched, scalar, context: str) -> None:
@@ -231,8 +231,8 @@ class TestBinnedKdeParity:
             table_name="t", x_columns=("x",), y_column="y",
             group_column="g", config=config,
         )
-        batched = GroupByModelSet.train(batched=True, **kwargs)
-        scalar = GroupByModelSet.train(batched=False, **kwargs)
+        batched = GroupByModelSet.train(**kwargs)
+        scalar = reference.train_set(**kwargs)
         for value, expected in scalar.models.items():
             got = batched.models[value].density
             np.testing.assert_array_equal(got._centres, expected.density._centres)
@@ -262,7 +262,7 @@ class TestAllRawSet:
         assert len(model_set.raw_groups) == 8
 
 
-# -- routing: default, opt-outs, multivariate sets ---------------------------
+# -- routing: one trainer, multivariate sets ----------------------------------
 
 
 class TestTrainerRouting:
@@ -277,30 +277,8 @@ class TestTrainerRouting:
         monkeypatch.setattr(
             "repro.core.groupby.train_batched_models", spy
         )
-        train_pair()  # batched=True leg goes through the spy
+        train_pair()
         assert calls
-
-    @pytest.mark.parametrize("opt_out", ["argument", "config"])
-    def test_opt_outs_skip_the_batched_trainer(self, monkeypatch, opt_out):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("batched trainer called despite opt-out")
-
-        monkeypatch.setattr(
-            "repro.core.groupby.train_batched_models", forbidden
-        )
-        x, y, groups, keep = make_data()
-        config = DBEstConfig(
-            min_group_rows=30, random_seed=3,
-            **({"batched_train": False} if opt_out == "config" else {}),
-        )
-        model_set = GroupByModelSet.train(
-            sample_x=x[keep], sample_y=y[keep], sample_groups=groups[keep],
-            full_groups=groups, full_x=x, full_y=y,
-            table_name="t", x_columns=("x",), y_column="y", group_column="g",
-            config=config,
-            **({"batched": False} if opt_out == "argument" else {}),
-        )
-        assert len(model_set.models) == 6
 
     def test_multivariate_trains_batched(self):
         # Multivariate sets no longer fall out of the batched trainer:
@@ -350,6 +328,147 @@ class TestTrainerRouting:
         )
         assert len(model_set.models) == 2
         assert calls  # the batched trainer handled the multivariate set
+
+
+# -- scalar models: one group through the same trainer ------------------------
+
+
+REGRESSORS = ("plr", "linear", "tree", "gboost", "xgboost", "ensemble")
+
+
+def scalar_sample(d: int, n: int = 400, seed: int = 17):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 100.0, size=(n, d))
+    y = 0.3 * x[:, 0] + np.sin(x[:, 0] / 9.0) + rng.normal(0.0, 1.0, size=n)
+    if d > 1:
+        y = y + 0.5 * x[:, 1]
+    return (x[:, 0] if d == 1 else x), y
+
+
+def train_scalar_pair(regressor: str, d: int, y: bool, n: int = 400):
+    """``ColumnSetModel.train`` and ``reference.train_model`` on one sample."""
+    x, ys = scalar_sample(d, n)
+    columns = ("a",) if d == 1 else ("a", "b")
+    args = (x, ys if y else None, "t", columns, "y" if y else None, 50_000,
+            DBEstConfig(regressor=regressor, random_seed=17,
+                        integration_points=33))
+    return ColumnSetModel.train(*args), reference.train_model(*args)
+
+
+def assert_scalar_answers(got: ColumnSetModel, expected: ColumnSetModel,
+                          tol: float) -> None:
+    calls = [AggregateCall("COUNT", None)]
+    if expected.y_column is not None:
+        calls += [AggregateCall(func, "y")
+                  for func in ("SUM", "AVG", "VARIANCE", "STDDEV")]
+    if expected.n_dims == 1:
+        calls += [AggregateCall("AVG", "a"), AggregateCall("VARIANCE", "a"),
+                  AggregateCall("PERCENTILE", "a", 0.3)]
+    for call in calls:
+        for lb, ub in ((20.0, 60.0), (0.0, 100.0), (49.0, 51.5)):
+            ranges = {"a": (lb, ub)}
+            if expected.n_dims > 1:
+                ranges["b"] = (10.0, 90.0)
+            want = expected.answer(call, ranges)
+            have = got.answer(call, ranges)
+            assert abs(have - want) <= tol * max(1.0, abs(want)), (
+                f"{call} {ranges}: {have} vs {want}"
+            )
+
+
+class TestScalarModelParity:
+    @pytest.mark.parametrize("regressor, d, y", [
+        (regressor, d, y)
+        for regressor in REGRESSORS for d in (1, 2) for y in (True, False)
+        # Refused on both paths (TestMultivariatePlr).
+        if (regressor, d, y) != ("plr", 2, True)
+    ])
+    def test_one_group_trainer_matches_row_wise_fit(self, regressor, d, y):
+        got, expected = train_scalar_pair(regressor, d, y)
+        if d == 1:
+            assert_model_parity(got, expected, f"{regressor} d={d}")
+        assert got.x_domain == expected.x_domain
+        assert got.n_sample == expected.n_sample
+        close(got._residual_var_global, expected._residual_var_global)
+        assert_scalar_answers(got, expected, tol=1e-12)
+
+    # plr below 10 rows (its coefficient count) takes the stacked
+    # solve's lstsq path (TestRankDeficientStackedFits).
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 9])
+    @pytest.mark.parametrize("regressor", ["plr", "linear", "gboost"])
+    def test_tiny_samples(self, regressor, n):
+        got, expected = train_scalar_pair(regressor, 1, True, n=n)
+        assert_model_parity(got, expected, f"{regressor} n={n}")
+
+    def test_input_checks(self):
+        x, y = scalar_sample(1, 50)
+        config = DBEstConfig(regressor="linear")
+        with pytest.raises(ModelTrainingError, match="empty sample"):
+            ColumnSetModel.train(x[:0], None, "t", ("a",), None, 1, config)
+        with pytest.raises(ModelTrainingError, match="x-column names"):
+            ColumnSetModel.train(x, y, "t", ("a", "b"), "y", 50, config)
+        with pytest.raises(ModelTrainingError, match="rows but y has"):
+            ColumnSetModel.train(x, y[:-1], "t", ("a",), "y", 50, config)
+
+
+class TestMultivariatePlr:
+    def test_refused_by_every_entry_point(self):
+        x, y = scalar_sample(2, 120)
+        config = DBEstConfig(regressor="plr", min_group_rows=30)
+        message = "PiecewiseLinearRegressor supports 1-D features only"
+        with pytest.raises(ModelTrainingError, match=message):
+            ColumnSetModel.train(x, y, "t", ("a", "b"), "y", 120, config)
+        with pytest.raises(ModelTrainingError, match=message):
+            reference.train_model(x, y, "t", ("a", "b"), "y", 120, config)
+        groups = np.repeat(np.arange(2), 60)
+        with pytest.raises(ModelTrainingError, match=message):
+            GroupByModelSet.train(
+                sample_x=x, sample_y=y, sample_groups=groups,
+                full_groups=groups, full_x=x, full_y=y, table_name="t",
+                x_columns=("a", "b"), y_column="y", group_column="g",
+                config=config,
+            )
+
+    def test_density_only_and_all_raw_sets_train(self):
+        x, _ = scalar_sample(2, 120)
+        model = ColumnSetModel.train(
+            x, None, "t", ("a", "b"), None, 120, DBEstConfig(regressor="plr")
+        )
+        assert model.regressor is None
+        groups = np.repeat(np.arange(2), 60)
+        model_set = GroupByModelSet.train(
+            sample_x=x, sample_y=x[:, 0], sample_groups=groups,
+            full_groups=groups, full_x=x, full_y=x[:, 0], table_name="t",
+            x_columns=("a", "b"), y_column="y", group_column="g",
+            config=DBEstConfig(regressor="plr", min_group_rows=10**6),
+        )
+        assert model_set.models == {}
+
+
+class TestRankDeficientStackedFits:
+    """Groups with fewer rows than spline coefficients (k = 10 for the
+    default 8-knot ``plr``) are rank-deficient: the stacked solve must
+    hand them to ``lstsq`` rather than accept a non-minimum-norm fit."""
+
+    def make_set(self, trainer):
+        rng = np.random.default_rng(41)
+        sizes = (3, 7, 9, 12, 40)
+        groups = np.repeat(np.arange(len(sizes)), sizes)
+        x = rng.uniform(0.0, 100.0, size=groups.shape[0])
+        y = np.sin(x / 16.0) + rng.normal(0.0, 0.1, size=groups.shape[0])
+        return trainer(
+            sample_x=x, sample_y=y, sample_groups=groups,
+            full_groups=groups, full_x=x, full_y=y, table_name="t",
+            x_columns=("x",), y_column="y", group_column="g",
+            config=DBEstConfig(regressor="plr", min_group_rows=2,
+                               random_seed=41, integration_points=65),
+        )
+
+    def test_coefficients_and_answers_match_lstsq(self):
+        batched = self.make_set(GroupByModelSet.train)
+        oracle = self.make_set(reference.train_set)
+        assert_set_parity(batched, oracle)
+        assert_answer_parity(batched, oracle)
 
 
 # -- shared partition / kernel helpers ---------------------------------------
@@ -402,40 +521,3 @@ class TestSegmentedQuantiles:
             flat, np.asarray([0]), np.asarray([5]), np.asarray([0.25, 0.5])
         )
         np.testing.assert_array_equal(got[0], np.quantile(flat, [0.25, 0.5]))
-
-
-class TestChunkBoundsWeighted:
-    def test_partitions_all_items(self):
-        weights = [5.0, 1.0, 1.0, 1.0, 1.0, 1.0]
-        bounds = chunk_bounds_weighted(weights, 3)
-        assert bounds[0][0] == 0 and bounds[-1][1] == len(weights)
-        for (_, a_end), (b_start, _) in zip(bounds, bounds[1:]):
-            assert a_end == b_start
-        assert all(end > start for start, end in bounds)
-        assert len(bounds) <= 3
-
-    def test_one_giant_item_does_not_starve_chunks(self):
-        bounds = chunk_bounds_weighted([100.0, 1.0, 1.0, 1.0], 3)
-        assert len(bounds) == 3
-        assert bounds[0] == (0, 1)
-
-    def test_giant_last_item_still_parallelises(self):
-        # Regression: a greedy fair-share pass never closed a chunk when
-        # the dominant weight sorted last, collapsing to one chunk.
-        bounds = chunk_bounds_weighted([1.0] * 30 + [10000.0], 4)
-        assert len(bounds) == 4
-        assert bounds[-1] == (30, 31)
-
-    def test_minimises_heaviest_chunk(self):
-        bounds = chunk_bounds_weighted([4.0, 3.0, 2.0, 6.0, 5.0], 3)
-        heaviest = max(
-            sum([4.0, 3.0, 2.0, 6.0, 5.0][a:b]) for a, b in bounds
-        )
-        assert heaviest <= 8.0  # optimal contiguous 3-way split
-
-    def test_degenerate_inputs(self):
-        assert chunk_bounds_weighted([], 4) == []
-        assert chunk_bounds_weighted([0.0, 0.0], 2) == [(0, 1), (1, 2)]
-        assert chunk_bounds_weighted([1.0], 5) == [(0, 1)]
-        with pytest.raises(InvalidParameterError):
-            chunk_bounds_weighted([1.0], 0)

@@ -1,103 +1,17 @@
-"""Unit tests for model selection utilities and metrics."""
+"""Unit tests for the regression metrics."""
 
 import numpy as np
 import pytest
 
 from repro.errors import InvalidParameterError
 from repro.ml import (
-    GridSearchCV,
-    LinearRegressor,
-    PiecewiseLinearRegressor,
-    k_fold_indices,
     mean_absolute_error,
     mean_relative_error,
     mean_squared_error,
     r2_score,
     relative_error,
     root_mean_squared_error,
-    train_test_split,
 )
-
-
-class TestKFold:
-    def test_partitions_cover_everything(self, rng):
-        folds = k_fold_indices(100, 5, rng=rng)
-        assert len(folds) == 5
-        all_test = np.concatenate([test for _, test in folds])
-        assert sorted(all_test.tolist()) == list(range(100))
-
-    def test_train_test_disjoint(self, rng):
-        for train, test in k_fold_indices(50, 4, rng=rng):
-            assert not set(train.tolist()) & set(test.tolist())
-            assert len(train) + len(test) == 50
-
-    def test_invalid_k(self, rng):
-        with pytest.raises(InvalidParameterError):
-            k_fold_indices(10, 1, rng=rng)
-        with pytest.raises(InvalidParameterError):
-            k_fold_indices(3, 5, rng=rng)
-
-
-class TestTrainTestSplit:
-    def test_sizes(self, rng):
-        X = np.arange(100.0)
-        X_tr, X_te, y_tr, y_te = train_test_split(X, X, 0.25, rng=rng)
-        assert len(X_te) == 25
-        assert len(X_tr) == 75
-
-    def test_pairs_stay_aligned(self, rng):
-        X = np.arange(100.0)
-        y = X * 2
-        X_tr, X_te, y_tr, y_te = train_test_split(X, y, 0.3, rng=rng)
-        np.testing.assert_array_equal(y_tr, X_tr * 2)
-        np.testing.assert_array_equal(y_te, X_te * 2)
-
-    def test_invalid_fraction(self, rng):
-        with pytest.raises(InvalidParameterError):
-            train_test_split(np.zeros(10), np.zeros(10), 0.0, rng=rng)
-
-
-class TestGridSearch:
-    def test_finds_better_knot_count(self, rng):
-        x = rng.uniform(0, 2 * np.pi, size=2000)
-        y = np.sin(x) + rng.normal(0, 0.05, size=2000)
-        search = GridSearchCV(
-            PiecewiseLinearRegressor,
-            {"n_knots": [1, 12]},
-            cv=3,
-            random_state=3,
-        ).fit(x, y)
-        assert search.best_params_ == {"n_knots": 12}
-        assert len(search.results_) == 2
-
-    def test_best_estimator_refit_on_all_data(self, rng):
-        x = rng.uniform(size=500)
-        y = 3 * x
-        search = GridSearchCV(
-            PiecewiseLinearRegressor, {"n_knots": [2, 4]}, cv=3, random_state=3
-        ).fit(x, y)
-        assert search.best_estimator_.is_fitted
-        np.testing.assert_allclose(search.predict(x), y, atol=0.05)
-
-    def test_multi_parameter_grid_size(self, rng):
-        x = rng.uniform(size=300)
-        y = x
-        search = GridSearchCV(
-            PiecewiseLinearRegressor,
-            {"n_knots": [1, 2, 3]},
-            cv=2,
-            random_state=3,
-        ).fit(x, y)
-        assert len(search.results_) == 3
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            GridSearchCV(LinearRegressor, {})
-
-    def test_predict_before_fit_rejected(self):
-        search = GridSearchCV(PiecewiseLinearRegressor, {"n_knots": [1]})
-        with pytest.raises(InvalidParameterError):
-            search.predict(np.zeros(3))
 
 
 class TestMetrics:

@@ -17,6 +17,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.core.batched import BatchedGroupEvaluator
 from repro.core.batched_train import GroupPartition
 from repro.core.config import DBEstConfig
@@ -273,38 +274,43 @@ def _assert_answers_close(got, expected, tol=1e-9):
 
 
 class TestRefreshParity:
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_refresh_matches_full_retrain(self, batched):
+    @pytest.mark.parametrize(
+        "retrain", [GroupByModelSet.train, reference.train_set],
+        ids=["batched", "row_wise"],
+    )
+    def test_refresh_matches_full_retrain(self, retrain):
         # The acceptance oracle: after any sequence of refreshes, the
         # set must answer exactly like a from-scratch train on the same
-        # final sample arrays and full data.
+        # final sample arrays and full data, by the batched trainer and
+        # by the row-wise loop.
         rng, g, x, y, config = _ingest_fixture()
         model_set = GroupByModelSet.train(
             sample_x=x, sample_y=y, sample_groups=g,
-            batched=batched, streaming=True, **_train_kwargs(g, x, y, config),
+            streaming=True, **_train_kwargs(g, x, y, config),
         )
         for round_no in range(3):
             # Round 2 introduces brand-new groups 12..14.
             hi = 12 if round_no < 2 else 15
             dg, dx, dy = _delta(rng, hi, 150)
-            dirty = model_set.refresh(dx, dy, dg, batched=batched)
+            dirty = model_set.refresh(dx, dy, dg)
             assert dirty == sorted(np.unique(dg).tolist())
             g = np.concatenate([g, dg])
             x = np.concatenate([x, dx])
             y = np.concatenate([y, dy])
         stream = model_set._stream
-        oracle = GroupByModelSet.train(
+        oracle = retrain(
             sample_x=stream.sample_x.squeeze(axis=1),
             sample_y=stream.sample_y,
             sample_groups=stream.sample_groups,
-            batched=batched, **_train_kwargs(g, x, y, config),
+            **_train_kwargs(g, x, y, config),
         )
         assert set(model_set.models) == set(oracle.models)
         assert set(model_set.raw_groups) == set(oracle.raw_groups)
-        _assert_answers_close(
-            _answers(model_set, batched=batched),
-            _answers(oracle, batched=batched),
-        )
+        for batched in (True, False):
+            _assert_answers_close(
+                _answers(model_set, batched=batched),
+                _answers(oracle, batched=batched),
+            )
 
     def test_raw_group_promotion(self):
         # A group kept raw (undersampled) must promote to a fitted model
