@@ -40,7 +40,8 @@ Growth then proceeds one depth level at a time over *all* trees:
    row's original relative order, so the next level's bincounts
    accumulate in the same order the scalar recursion would.  Rows of
    retiring nodes write the node value into the flat in-sample
-   prediction (used by boosting and by the residual-variance pass).
+   prediction (used by boosting, by the ensemble's range selector and
+   by the residual-variance pass).
 
 Boosting is the same kernel run ``n_estimators`` times with labels
 rebound between rounds — residuals ``y - prediction`` for gboost,
@@ -620,13 +621,14 @@ def fit_forest_regressors(
     ys: np.ndarray,
     offsets: np.ndarray,
     config: DBEstConfig,
-) -> tuple[list, np.ndarray | None] | None:
+) -> tuple[list, np.ndarray] | None:
     """Fit all groups' nonlinear regressors through the batched kernel.
 
     ``x2d`` is the flat ``(R, d)`` modelled-row matrix in group-major
     original order, ``offsets`` its group boundaries.  Returns
-    ``(regressors, in_sample_pred)`` — the prediction is None for
-    ensembles, whose residual pass runs per group — or None when
+    ``(regressors, in_sample_pred)`` — the prediction is each group's
+    ``regressor.predict`` on its rows, bit for bit, taken off the kernel
+    (an ensemble's is its default constituent's) — or None when
     ``config.regressor`` is not a forest family (the trainer sends
     ``linear`` and ``plr`` to its stacked solve instead).
     """
@@ -692,7 +694,8 @@ def fit_forest_regressors(
 
     # Ensemble: gboost + xgboost constituents through the shared kernel,
     # PLR per group (a cheap exact lstsq, 1-D only), then the selector
-    # stage exactly as the scalar fit runs it.
+    # stage exactly as the scalar fit runs it, on the kernel's in-sample
+    # predictions.
     factories = default_constituents()
     gb_proto = factories["gboost"]()
     xgb_proto = factories["xgboost"]()
@@ -702,13 +705,13 @@ def fit_forest_regressors(
         max_bins=gb_proto.max_bins,
     ).min_samples_split
     bins = _compute_bins(x2d, offsets, gb_proto.max_bins)
-    gb_base, gb_rounds, _ = _fit_gboost_forest(
+    gb_base, gb_rounds, gb_pred = _fit_gboost_forest(
         bins, ys, offsets, n_estimators=gb_proto.n_estimators,
         learning_rate=gb_proto.learning_rate, max_depth=gb_proto.max_depth,
         min_samples_leaf=gb_proto.min_samples_leaf,
         min_samples_split=stage_split,
     )
-    xg_base, xg_rounds, _ = _fit_xgb_forest(
+    xg_base, xg_rounds, xg_pred = _fit_xgb_forest(
         bins, ys, offsets, n_estimators=xgb_proto.n_estimators,
         learning_rate=xgb_proto.learning_rate, max_depth=xgb_proto.max_depth,
         min_child_weight=xgb_proto.min_child_weight,
@@ -716,20 +719,25 @@ def fit_forest_regressors(
     )
     univariate = d == 1
     regressors = []
+    pred = np.empty_like(ys)
     for g in range(n_groups):
         seg = slice(int(offsets[g]), int(offsets[g + 1]))
-        gx = x2d[seg]
+        gx = x2d[seg, 0] if univariate else x2d[seg]
         gy = ys[seg]
         # Insertion order mirrors the scalar fit's factory order.
         models: dict[str, object] = {
             "gboost": _build_gboost(gb_base, gb_rounds, g, d, gb_proto, None),
             "xgboost": _build_xgb(xg_base, xg_rounds, g, xgb_proto, None),
         }
+        preds = {"gboost": gb_pred[seg], "xgboost": xg_pred[seg]}
         if univariate:
             plr = factories["plr"]()
-            plr.fit(gx[:, 0], gy)
+            plr.fit(gx, gy)
             models["plr"] = plr
-        regressors.append(EnsembleRegressor.from_fitted_constituents(
-            models, gx[:, 0] if univariate else gx, gy, random_state=seed,
-        ))
-    return regressors, None
+            preds["plr"] = plr.predict(gx)
+        ens = EnsembleRegressor.from_fitted_constituents(
+            models, gx, gy, preds, random_state=seed
+        )
+        pred[seg] = preds[ens.select()]
+        regressors.append(ens)
+    return regressors, pred

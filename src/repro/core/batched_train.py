@@ -26,9 +26,13 @@ group (paper §2.3 treats each group value as a separate data set).
   (ties, degenerate features), take the row-wise fit's own
   ``np.linalg.lstsq`` on their design slice, which keeps coefficients
   bit-identical exactly where stacked solves would drift.
-* **Residual-variance state in bulk** — the law-of-total-variance bins of
-  :meth:`ColumnSetModel._fit_residual_variance` are rebuilt with the same
-  segmented quantiles and one global ``np.bincount``.
+* **Residual-variance state in bulk** — the law-of-total-variance bins
+  (per-group quantile edges, per-bin mean squared residual, the global
+  mean as fallback) come from every group's in-sample prediction at
+  once: segmented quantiles and one global ``np.bincount``.  Every
+  regressor family supplies that prediction without a ``predict`` call
+  (the stacked solve's fitted values, the forest kernel's leaf
+  assignments).
 * **Multivariate predicates batch too** — product-kernel KDEs
   (:class:`~repro.ml.kde.MultivariateKDE`) get per-dimension bandwidths
   from the same segmented moment reductions and one vectorised
@@ -69,7 +73,6 @@ from repro.core.config import DBEstConfig
 from repro.core.batched_forest import fit_forest_regressors
 from repro.core.model import ColumnSetModel
 from repro.errors import InvalidParameterError, ModelTrainingError
-from repro.ml.ensemble import EnsembleRegressor
 from repro.ml.kde import KernelDensityEstimator, MultivariateKDE
 from repro.ml.linear import LinearRegressor, PiecewiseLinearRegressor
 from repro.obs import get_registry
@@ -709,9 +712,9 @@ def _fit_residual_states(
 ) -> tuple[list, list, np.ndarray]:
     """Var(y|x) bins for every group, batched.
 
-    Replicates :meth:`ColumnSetModel._fit_residual_variance`: quantile
-    bin edges (deduplicated), per-bin residual second moments via one
-    global ``np.bincount``, global fallback for empty bins.
+    Replicates the row-wise pass (``reference.fit_residual_variance``):
+    quantile bin edges (deduplicated), per-bin residual second moments
+    via one global ``np.bincount``, global fallback for empty bins.
     """
     counts = np.diff(offsets)
     starts = offsets[:-1]
@@ -833,23 +836,13 @@ def _train_batched_models_nd(
                 for g in range(modelled.size)
             ]
             coef_rows = coefs[np.repeat(np.arange(modelled.size), counts)]
-            residual_sq = ys - np.einsum("nk,nk->n", design, coef_rows)
-            residual_sq *= residual_sq
-            residual_global = np.add.reduceat(residual_sq, offsets[:-1]) / counts
+            pred = np.einsum("nk,nk->n", design, coef_rows)
         else:
-            regressors, forest_pred = fit_forest_regressors(
-                xmat, ys, offsets, config
-            )
-            if forest_pred is not None:
-                # Multivariate models keep only the global residual
-                # scalar; the kernel's in-sample predictions are
-                # bit-identical to regressor.predict on each slice.
-                residual_sq = ys - forest_pred
-                residual_sq *= residual_sq
-                for i in range(modelled.size):
-                    residual_global[i] = float(
-                        np.mean(residual_sq[offsets[i]:offsets[i + 1]])
-                    )
+            regressors, pred = fit_forest_regressors(xmat, ys, offsets, config)
+        # Multivariate models keep only the global residual scalar.
+        residual_sq = ys - pred
+        residual_sq *= residual_sq
+        residual_global = np.add.reduceat(residual_sq, offsets[:-1]) / counts
 
     models: dict = {}
     values = (
@@ -887,13 +880,6 @@ def _train_batched_models_nd(
             config=config,
             residual_var_global=float(residual_global[i]),
         )
-        if isinstance(regressors[i], EnsembleRegressor):
-            # Ensembles predict through a selected constituent, so there
-            # is no in-sample prediction to reuse: the model's own
-            # residual pass on the same rows (global scalar only —
-            # multivariate models keep no residual bins).
-            seg = slice(offsets[i], offsets[i + 1])
-            model._fit_residual_variance(xmat[seg], ys[seg])
         models[value] = model
     return models
 
@@ -961,7 +947,7 @@ def train_batched_models(
 
     fit_regressors = sample_y is not None and y_column is not None
     stacked = fit_regressors and config.regressor in _STACKED_REGRESSORS
-    needs_sorted = stacked or config.kde_bandwidth == "silverman"
+    needs_sorted = fit_regressors or config.kde_bandwidth == "silverman"
     xs_sorted = None
     if needs_sorted:
         group_ids = np.repeat(np.arange(modelled.size), counts)
@@ -993,27 +979,18 @@ def train_batched_models(
                     LinearRegressor.from_coef(coefs[g])
                     for g in range(modelled.size)
                 ]
-            residual_sq = ys - pred
-            residual_sq *= residual_sq
-            residual_edges, residual_var, residual_global = (
-                _fit_residual_states(xs, offsets, xs_sorted, residual_sq)
-            )
         else:
-            regressors, forest_pred = fit_forest_regressors(
+            regressors, pred = fit_forest_regressors(
                 xs[:, None], ys, offsets, config
             )
-            if forest_pred is not None:
-                # The kernel's in-sample predictions are bit-identical
-                # to regressor.predict on each group slice, so the
-                # stacked residual pass applies as-is.
-                residual_sq = ys - forest_pred
-                residual_sq *= residual_sq
-                if xs_sorted is None:
-                    group_ids = np.repeat(np.arange(modelled.size), counts)
-                    xs_sorted = xs[np.lexsort((xs, group_ids))]
-                residual_edges, residual_var, residual_global = (
-                    _fit_residual_states(xs, offsets, xs_sorted, residual_sq)
-                )
+        # Every family's in-sample prediction is its regressor's on each
+        # group's rows (the forest kernel's bit for bit), so one stacked
+        # residual pass serves them all.
+        residual_sq = ys - pred
+        residual_sq *= residual_sq
+        residual_edges, residual_var, residual_global = (
+            _fit_residual_states(xs, offsets, xs_sorted, residual_sq)
+        )
 
     models: dict = {}
     values = (
@@ -1056,11 +1033,6 @@ def train_batched_models(
             residual_var=residual_var[i],
             residual_var_global=float(residual_global[i]),
         )
-        if isinstance(regressors[i], EnsembleRegressor):
-            # Ensembles predict through a selected constituent: the
-            # model's own residual pass on the same rows.
-            seg = slice(offsets[i], offsets[i + 1])
-            model._fit_residual_variance(xs[seg][:, None], ys[seg])
         models[value] = model
     _record_train_metrics(t0, int(xs.size), int(modelled.size))
     return models

@@ -157,37 +157,6 @@ class ColumnSetModel:
         model._residual_var_global = float(residual_var_global)
         return model
 
-    def _fit_residual_variance(self, x_matrix: np.ndarray, y: np.ndarray) -> None:
-        """Estimate Var(y | x) from training residuals.
-
-        Equation 8 of the paper (Var(y) ≈ E[R²] − E[R]²) only measures the
-        variance *of the regression function* and systematically misses
-        the conditional noise Var(y|x).  By the law of total variance,
-        Var(y) = E[Var(y|x)] + Var(E[y|x]); we estimate the first term as
-        a piecewise-constant function of x over quantile bins so
-        ``variance_y`` can add its density-weighted expectation.
-        """
-        features = x_matrix[:, 0] if x_matrix.shape[1] == 1 else x_matrix
-        residuals = y - self.predict_y(features)
-        self._residual_var_global = float(np.mean(residuals**2))
-        if x_matrix.shape[1] != 1:
-            return
-        x = x_matrix[:, 0]
-        n_bins = max(4, min(64, x.shape[0] // 50))
-        edges = np.unique(
-            np.quantile(x, np.linspace(0.0, 1.0, n_bins + 1)[1:-1])
-        )
-        codes = np.searchsorted(edges, x, side="left")
-        counts = np.bincount(codes, minlength=edges.shape[0] + 1)
-        sums = np.bincount(
-            codes, weights=residuals**2, minlength=edges.shape[0] + 1
-        )
-        with np.errstate(invalid="ignore"):
-            per_bin = np.where(counts > 0, sums / np.maximum(counts, 1),
-                               self._residual_var_global)
-        self._residual_edges = edges
-        self._residual_var = per_bin
-
     def residual_variance(self, x: np.ndarray) -> np.ndarray:
         """σ²(x): estimated conditional variance of y at the given points."""
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))

@@ -1,14 +1,9 @@
-"""Quadrature rules used by the aggregate evaluators.
+"""Composite Simpson quadrature on a fixed grid.
 
-Two methods are provided:
-
-* :func:`simpson_integrate` — composite Simpson's rule on a fixed grid.
-  The integrand is evaluated once, vectorised, over all nodes; this is the
-  default inside DBEst because KDE and tree-ensemble evaluation are far
-  cheaper in one batch than in many adaptive point-wise calls.
-* :func:`adaptive_quad` — scipy's QUADPACK (Gauss–Kronrod) wrapper, the
-  method the paper names; exposed for the integration ablation bench and
-  for callers that need certified error estimates.
+The integrand is evaluated once, vectorised, over all nodes: KDE and
+tree-ensemble evaluation are far cheaper in one batch than in many
+adaptive point-wise calls.  The adaptive QUADPACK method the paper names
+is an oracle only and lives in :mod:`repro.reference`.
 """
 
 from __future__ import annotations
@@ -17,7 +12,6 @@ from collections.abc import Callable
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate as _scipy_integrate
 
 from repro.errors import InvalidParameterError
 
@@ -52,32 +46,6 @@ def simpson_weights(n_points: int) -> np.ndarray:
     return _simpson_weights_cached(int(n_points))
 
 
-@lru_cache(maxsize=4096)
-def _simpson_grid_cached(lb: float, ub: float, n_points: int) -> tuple:
-    nodes = np.linspace(lb, ub, n_points)
-    weights = simpson_weights(n_points) * ((ub - lb) / (n_points - 1) / 3.0)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
-def simpson_grid(lb: float, ub: float, n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached ``(nodes, weights)`` Simpson grid over ``[lb, ub]``.
-
-    ``weights`` already include the ``h / 3`` spacing factor, so an
-    integral is just ``weights @ f(nodes)``.  Query workloads hit the same
-    (range, resolution) pairs over and over — the per-group evaluators ask
-    for one grid per group per aggregate — so grids are memoised.  Both
-    arrays are read-only views of the cache; copy before mutating.
-    """
-    _check_interval(lb, ub)
-    if n_points < 3 or n_points % 2 == 0:
-        raise InvalidParameterError(
-            f"Simpson's rule needs an odd number of nodes >= 3, got {n_points}"
-        )
-    return _simpson_grid_cached(float(lb), float(ub), int(n_points))
-
-
 def simpson_integrate(
     f: Callable[[np.ndarray], np.ndarray],
     lb: float,
@@ -92,28 +60,6 @@ def simpson_integrate(
     values = np.asarray(f(nodes), dtype=np.float64)
     h = (ub - lb) / (n_points - 1)
     return float(h / 3.0 * np.dot(simpson_weights(n_points), values))
-
-
-def adaptive_quad(
-    f: Callable[[float], float],
-    lb: float,
-    ub: float,
-    epsabs: float = 1e-8,
-    epsrel: float = 1e-6,
-) -> float:
-    """Adaptive Gauss–Kronrod integration (QUADPACK via scipy).
-
-    This is the integration method named in the paper.  The integrand is
-    called point-wise; use :func:`simpson_integrate` when the integrand is
-    vectorised and smoothness is not an issue.
-    """
-    _check_interval(lb, ub)
-    if ub == lb:
-        return 0.0
-    value, _abserr = _scipy_integrate.quad(
-        f, lb, ub, epsabs=epsabs, epsrel=epsrel, limit=200
-    )
-    return float(value)
 
 
 def integrate_product(

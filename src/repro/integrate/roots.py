@@ -15,23 +15,6 @@ import numpy as np
 from repro.errors import InvalidParameterError, QueryExecutionError
 
 
-def bisect(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-) -> float:
-    """Find a root of ``f`` in ``[lo, hi]`` by bisection.
-
-    Requires ``f(lo)`` and ``f(hi)`` to bracket zero (opposite signs or one
-    of them exactly zero).  Converges linearly; ``max_iter`` of 200 is far
-    beyond what a ``tol`` of 1e-8 over any realistic domain needs.
-    """
-    one = bisect_many(lambda t: np.asarray([f(t[0])]), [lo], [hi], tol, max_iter)
-    return float(one[0])
-
-
 def bisect_many(
     f: Callable[[np.ndarray], np.ndarray],
     lo,
@@ -39,9 +22,9 @@ def bisect_many(
     tol: float = 1e-8,
     max_iter: int = 200,
 ) -> np.ndarray:
-    """:func:`bisect` on every bracket ``[lo[k], hi[k]]`` at once, each
-    taking the steps it would alone; ``f`` maps one point per bracket to
-    that bracket's function value."""
+    """Bisection on every bracket ``[lo[k], hi[k]]`` at once, each taking
+    the steps it would alone; ``f`` maps one point per bracket to that
+    bracket's function value, which must change sign over the bracket."""
     lo, hi = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
     if np.any(hi < lo):
         k = int(np.flatnonzero(hi < lo)[0])

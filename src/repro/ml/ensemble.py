@@ -53,7 +53,7 @@ class EnsembleRegressor:
         Number of random range queries used to label training data for
         the selector classifier.
     min_eval_points:
-        Ranges that select fewer training points than this are rediscarded
+        Ranges that select fewer training points than this are discarded
         when building selector labels.
     random_state:
         Seed for query generation.
@@ -100,21 +100,42 @@ class EnsembleRegressor:
             )
 
         self.models_ = {name: factory() for name, factory in self._factories.items()}
-        for model in self.models_.values():
+        preds = {}
+        for name, model in self.models_.items():
             model.fit(x, y)
-        return self._fit_selector(x, y)
+            preds[name] = model.predict(x)
+        return self._fit_selector(x, y, preds)
 
-    def _fit_selector(self, x: np.ndarray, y: np.ndarray) -> "EnsembleRegressor":
+    def _fit_selector(
+        self, x: np.ndarray, y: np.ndarray, preds: Mapping[str, np.ndarray]
+    ) -> "EnsembleRegressor":
         """Label random range queries and train the per-range selector.
 
-        Runs on ``self.models_`` already fitted to ``(x, y)`` — the tail
-        of the 1-D :meth:`fit` path, split out so
-        :meth:`from_fitted_constituents` can reuse it verbatim.
+        Runs on ``self.models_`` already fitted to ``(x, y)``, with
+        ``preds`` mapping each constituent's name to its in-sample
+        prediction ``predict(x)`` — the tail of the 1-D :meth:`fit`
+        path, split out so :meth:`from_fitted_constituents` can reuse it
+        verbatim.
         """
-        lo, hi = float(x.min()), float(x.max())
-        self._domain = (lo, hi)
-        rng = np.random.default_rng(self.random_state)
+        self._domain = (float(x.min()), float(x.max()))
+        features, labels, global_scores = self._label_ranges(x, y, preds)
+        self._default_name = min(global_scores, key=global_scores.get)
+        if len(set(labels)) >= 2:
+            self.selector_ = DecisionTreeClassifier(max_depth=4, min_samples_leaf=2)
+            self.selector_.fit(np.asarray(features), np.asarray(labels))
+        else:
+            self.selector_ = None
+        return self
 
+    def _label_ranges(
+        self, x: np.ndarray, y: np.ndarray, preds: Mapping[str, np.ndarray]
+    ) -> tuple[list[list[float]], list[str], dict[str, float]]:
+        """``[a, b]`` features, best-constituent labels and summed
+        absolute errors of ``n_eval_queries`` random ranges over
+        ``_domain``.  ``predict`` is row-wise, so a range's mean in-sample
+        prediction is the mean of ``predict`` on the range's rows."""
+        lo, hi = self._domain
+        rng = np.random.default_rng(self.random_state)
         features: list[list[float]] = []
         labels: list[str] = []
         global_scores = {name: 0.0 for name in self.models_}
@@ -124,24 +145,16 @@ class EnsembleRegressor:
             if int(in_range.sum()) < self.min_eval_points:
                 continue
             truth = float(y[in_range].mean())
-            xs = x[in_range]
             best_name, best_err = None, np.inf
-            for name, model in self.models_.items():
-                estimate = float(np.mean(model.predict(xs)))
+            for name in self.models_:
+                estimate = float(np.mean(preds[name][in_range]))
                 err = abs(estimate - truth)
                 global_scores[name] += err
                 if err < best_err:
                     best_err, best_name = err, name
             features.append([a, b])
             labels.append(best_name)
-
-        self._default_name = min(global_scores, key=global_scores.get)
-        if len(set(labels)) >= 2:
-            self.selector_ = DecisionTreeClassifier(max_depth=4, min_samples_leaf=2)
-            self.selector_.fit(np.asarray(features), np.asarray(labels))
-        else:
-            self.selector_ = None
-        return self
+        return features, labels, global_scores
 
     def _fit_multivariate(self, X: np.ndarray, y: np.ndarray) -> "EnsembleRegressor":
         """d>1 features: fit tree constituents only, keep the global best.
@@ -158,6 +171,7 @@ class EnsembleRegressor:
                 f"X has {X.shape[0]} rows but y has {y.shape[0]}"
             )
         self.models_ = {}
+        preds = {}
         for name, factory in self._factories.items():
             model = factory()
             try:
@@ -165,22 +179,23 @@ class EnsembleRegressor:
             except ModelTrainingError:
                 continue  # e.g. PLR rejects multivariate input
             self.models_[name] = model
-        return self._finish_multivariate(X, y)
+            preds[name] = model.predict(X)
+        return self._finish_multivariate(X, y, preds)
 
     def _finish_multivariate(
-        self, X: np.ndarray, y: np.ndarray
+        self, X: np.ndarray, y: np.ndarray, preds: Mapping[str, np.ndarray]
     ) -> "EnsembleRegressor":
         """Pick the global-best constituent and record multivariate domain.
 
         The tail of :meth:`_fit_multivariate`, run on ``self.models_``
-        already fitted to ``(X, y)``; split out so
-        :meth:`from_fitted_constituents` can reuse it verbatim.
+        already fitted to ``(X, y)`` with their in-sample ``preds``;
+        split out so :meth:`from_fitted_constituents` can reuse it
+        verbatim.
         """
         if not self.models_:
             raise ModelTrainingError("no constituent accepted multivariate input")
         errors = {
-            name: float(np.mean((model.predict(X) - y) ** 2))
-            for name, model in self.models_.items()
+            name: float(np.mean((preds[name] - y) ** 2)) for name in self.models_
         }
         self._default_name = min(errors, key=errors.get)
         self.selector_ = None
@@ -196,6 +211,7 @@ class EnsembleRegressor:
         models: Mapping[str, object],
         X: np.ndarray,
         y: np.ndarray,
+        preds: Mapping[str, np.ndarray],
         *,
         constituents: Mapping[str, Callable[[], object]] | None = None,
         n_eval_queries: int = 60,
@@ -209,7 +225,9 @@ class EnsembleRegressor:
         PLR constituent per group; this installs them (in the same order
         :meth:`fit` would create them) and runs the identical selector /
         best-constituent stage, so the result is indistinguishable from a
-        scalar :meth:`fit` on the same rows.
+        scalar :meth:`fit` on the same rows.  ``preds`` holds each
+        constituent's in-sample prediction on ``X`` (the kernel's, for the
+        boosters), so no constituent predicts again.
         """
         ens = cls(
             constituents=constituents,
@@ -222,9 +240,9 @@ class EnsembleRegressor:
         ens.models_ = dict(models)
         if x.ndim == 2:
             if x.shape[1] != 1:
-                return ens._finish_multivariate(x, y)
+                return ens._finish_multivariate(x, y, preds)
             x = x[:, 0]
-        return ens._fit_selector(x, y)
+        return ens._fit_selector(x, y, preds)
 
     def __setstate__(self, state: dict) -> None:
         # The unpickler interns attribute names but not the keyword names

@@ -155,7 +155,13 @@ class PiecewiseLinearRegressor:
         x = np.asarray(X, dtype=np.float64)
         if x.ndim == 2:
             x = x[:, 0]
-        return self._design(x) @ self._coef
+        # Column by column rather than ``design @ coef``: a BLAS product
+        # blocks rows, so a row's bits would depend on the other rows in
+        # the call.  The ensemble selector relies on row-wise predictions.
+        out = self._coef[0] + self._coef[1] * x
+        for knot, coef in zip(self._knots.tolist(), self._coef[2:].tolist()):
+            out += coef * np.maximum(0.0, x - knot)
+        return out
 
     def export_batch_state(self) -> tuple:
         """``("plr", knots, coef)`` for stacking into batched evaluators.

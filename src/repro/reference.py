@@ -7,8 +7,8 @@ no code with the closed form (:mod:`repro.integrate.moments`) or the
 batched grids (:mod:`repro.core.batched`) that they check:
 
 * :func:`quad_fraction` / :func:`quad_moments` - adaptive QUADPACK
-  (:func:`repro.integrate.adaptive_quad`, the method the paper names) of
-  ``D``, ``f·D`` and ``f²·D`` over a 1-D range;
+  (:func:`adaptive_quad`, the method the paper names) of ``D``, ``f·D``
+  and ``f²·D`` over a 1-D range;
 * :func:`box_fraction` / :func:`box_moments` - the box mass from the
   product-kernel KDE's own ``integrate_box``, and the moments on a
   tensor-Simpson grid over the box;
@@ -16,25 +16,32 @@ batched grids (:mod:`repro.core.batched`) that they check:
   smooth piece of a 1-D integrand, accurate to ~1e-12;
 * :func:`four_leg_percentile` - PERCENTILE by bisecting the KDE's own
   reflected CDF;
-* :func:`answer` - a whole aggregate from the functions above.
+* :func:`answer` - a whole aggregate from the functions above;
+* :func:`adaptive_quad`, :func:`simpson_grid` and :func:`bisect` - the
+  point-wise quadrature and root finding they are built on.
 
 The fits are the row-wise ones the batched trainer
 (:mod:`repro.core.batched_train`) replaces:
 
 * :func:`train_model` - one density ``fit`` and one regressor ``fit`` on
-  one sample;
+  one sample, then :func:`fit_residual_variance` from ``predict``;
 * :func:`train_groups` - :func:`train_model` per group, with the
   arguments of :func:`~repro.core.batched_train.train_batched_models`;
 * :func:`train_set` - a ``GroupByModelSet`` whose models come from
   :func:`train_groups`, with the raw groups and populations built
-  independently of ``GroupByModelSet.train``.
+  independently of ``GroupByModelSet.train``;
+* :func:`selector_labels` - an ensemble's range-selector training data,
+  with one ``predict`` per constituent and range.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
+from functools import lru_cache
 
 import numpy as np
+from scipy import integrate as _scipy_integrate
 
 from repro.core.batched_train import GroupPartition
 from repro.core.config import DBEstConfig
@@ -45,7 +52,8 @@ from repro.errors import (
     ModelTrainingError,
     UnsupportedQueryError,
 )
-from repro.integrate import adaptive_quad, bisect, simpson_grid
+from repro.integrate import bisect_many, simpson_weights
+from repro.integrate.quadrature import _check_interval
 from repro.ml.ensemble import EnsembleRegressor
 from repro.ml.gbm import GradientBoostingRegressor
 from repro.ml.kde import KernelDensityEstimator, MultivariateKDE
@@ -53,6 +61,71 @@ from repro.ml.linear import LinearRegressor, PiecewiseLinearRegressor
 from repro.ml.tree import DecisionTreeRegressor
 from repro.ml.xgb import XGBRegressor
 from repro.sql.ast import AggregateCall
+
+
+# -- generic quadrature and root finding --------------------------------------
+
+
+def adaptive_quad(
+    f: Callable[[float], float],
+    lb: float,
+    ub: float,
+    epsabs: float = 1e-8,
+    epsrel: float = 1e-6,
+) -> float:
+    """Adaptive Gauss–Kronrod integration (QUADPACK via scipy).
+
+    This is the integration method named in the paper.  The integrand is
+    called point-wise.
+    """
+    _check_interval(lb, ub)
+    if ub == lb:
+        return 0.0
+    value, _abserr = _scipy_integrate.quad(
+        f, lb, ub, epsabs=epsabs, epsrel=epsrel, limit=200
+    )
+    return float(value)
+
+
+@lru_cache(maxsize=4096)
+def _simpson_grid_cached(lb: float, ub: float, n_points: int) -> tuple:
+    nodes = np.linspace(lb, ub, n_points)
+    weights = simpson_weights(n_points) * ((ub - lb) / (n_points - 1) / 3.0)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def simpson_grid(lb: float, ub: float, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cached ``(nodes, weights)`` Simpson grid over ``[lb, ub]``.
+
+    ``weights`` already include the ``h / 3`` spacing factor, so an
+    integral is just ``weights @ f(nodes)``.  The oracles ask for the
+    same (range, resolution) pairs over and over, so grids are memoised.
+    Both arrays are read-only views of the cache; copy before mutating.
+    """
+    _check_interval(lb, ub)  # simpson_weights checks n_points
+    return _simpson_grid_cached(float(lb), float(ub), int(n_points))
+
+
+def bisect(
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    tol: float = 1e-8,
+    max_iter: int = 200,
+) -> float:
+    """Find a root of ``f`` in ``[lo, hi]`` by bisection.
+
+    Requires ``f(lo)`` and ``f(hi)`` to bracket zero (opposite signs or one
+    of them exactly zero).  Converges linearly; ``max_iter`` of 200 is far
+    beyond what a ``tol`` of 1e-8 over any realistic domain needs.
+    """
+    one = bisect_many(lambda t: np.asarray([f(t[0])]), [lo], [hi], tol, max_iter)
+    return float(one[0])
+
+
+# -- model helpers ---------------------------------------------------------------
 
 
 def bounds(model: ColumnSetModel, ranges: Ranges) -> list[tuple[float, float]]:
@@ -264,6 +337,40 @@ def make_regressor(config: DBEstConfig):
     raise InvalidParameterError(f"unknown regressor {config.regressor!r}")
 
 
+def fit_residual_variance(
+    model: ColumnSetModel, x_matrix: np.ndarray, y: np.ndarray
+) -> None:
+    """Estimate Var(y | x) from training residuals.
+
+    Equation 8 of the paper (Var(y) ≈ E[R²] − E[R]²) only measures the
+    variance *of the regression function* and systematically misses
+    the conditional noise Var(y|x).  By the law of total variance,
+    Var(y) = E[Var(y|x)] + Var(E[y|x]); we estimate the first term as
+    a piecewise-constant function of x over quantile bins so
+    ``variance_y`` can add its density-weighted expectation.
+    """
+    features = x_matrix[:, 0] if x_matrix.shape[1] == 1 else x_matrix
+    residuals = y - model.predict_y(features)
+    model._residual_var_global = float(np.mean(residuals**2))
+    if x_matrix.shape[1] != 1:
+        return
+    x = x_matrix[:, 0]
+    n_bins = max(4, min(64, x.shape[0] // 50))
+    edges = np.unique(
+        np.quantile(x, np.linspace(0.0, 1.0, n_bins + 1)[1:-1])
+    )
+    codes = np.searchsorted(edges, x, side="left")
+    counts = np.bincount(codes, minlength=edges.shape[0] + 1)
+    sums = np.bincount(
+        codes, weights=residuals**2, minlength=edges.shape[0] + 1
+    )
+    with np.errstate(invalid="ignore"):
+        per_bin = np.where(counts > 0, sums / np.maximum(counts, 1),
+                           model._residual_var_global)
+    model._residual_edges = edges
+    model._residual_var = per_bin
+
+
 def train_model(
     x: np.ndarray,
     y: np.ndarray | None,
@@ -345,7 +452,7 @@ def train_model(
         integration_points=config.integration_points,
     )
     if regressor is not None:
-        model._fit_residual_variance(x_matrix, y)
+        fit_residual_variance(model, x_matrix, y)
     return model
 
 
@@ -460,3 +567,36 @@ def answer(model: ColumnSetModel, aggregate: AggregateCall, ranges: Ranges) -> f
         variance += _expected_residual_variance(model, box, den)
     variance = max(0.0, variance)
     return variance if func == "VARIANCE" else math.sqrt(variance)
+
+
+# -- the ensemble's range-selector labels ------------------------------------
+
+
+def selector_labels(
+    ensemble: EnsembleRegressor, x: np.ndarray, y: np.ndarray
+) -> tuple[list[list[float]], list[str], dict[str, float]]:
+    """``EnsembleRegressor._label_ranges`` for a fitted 1-D ensemble as
+    the loop that predicts every constituent on each range's rows."""
+    lo, hi = float(x.min()), float(x.max())
+    rng = np.random.default_rng(ensemble.random_state)
+
+    features: list[list[float]] = []
+    labels: list[str] = []
+    global_scores = {name: 0.0 for name in ensemble.models_}
+    for _ in range(ensemble.n_eval_queries):
+        a, b = np.sort(rng.uniform(lo, hi, size=2))
+        in_range = (x >= a) & (x <= b)
+        if int(in_range.sum()) < ensemble.min_eval_points:
+            continue
+        truth = float(y[in_range].mean())
+        xs = x[in_range]
+        best_name, best_err = None, np.inf
+        for name, model in ensemble.models_.items():
+            estimate = float(np.mean(model.predict(xs)))
+            err = abs(estimate - truth)
+            global_scores[name] += err
+            if err < best_err:
+                best_err, best_name = err, name
+        features.append([a, b])
+        labels.append(best_name)
+    return features, labels, global_scores

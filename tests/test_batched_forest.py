@@ -8,12 +8,15 @@ arrays — feature / threshold / left / right / value, same dtypes, same
 DFS order — for every tree, every boosting round, every constituent,
 across 1-D and multivariate fits, every depth, and the degenerate
 groups (constant features, single rows, sub-split-size groups) that
-stress the stop rules.  A guard pins the train paths: no scalar model,
-set, refresh or engine build may call a row-wise density or regressor
-``fit``.
+stress the stop rules.  The ensemble's range-selector labels must equal
+``reference.selector_labels``.  A guard pins the train paths: no scalar
+model, set, refresh or engine build may call a row-wise density or
+regressor ``fit``, or a forest ``predict``.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -33,10 +36,11 @@ from repro.ml._histogram import BinnedFeatures
 from repro.ml.ensemble import EnsembleRegressor
 from repro.ml.gbm import GradientBoostingRegressor
 from repro.ml.kde import KernelDensityEstimator, MultivariateKDE
-from repro.ml.linear import LinearRegressor
+from repro.ml.linear import LinearRegressor, PiecewiseLinearRegressor
 from repro.ml.tree import DecisionTreeRegressor
-from repro.ml.xgb import XGBRegressor
+from repro.ml.xgb import XGBRegressor, _XGBTree
 from repro.storage.table import Table
+from repro.workloads import generate_store_sales
 
 NODE_KEYS = ("feature", "threshold", "left", "right", "value")
 
@@ -257,16 +261,21 @@ class TestFitForestRegressors:
         assert result is not None
         regressors, pred = result
         assert len(regressors) == offsets.shape[0] - 1
-        if regressor == "ensemble":
-            assert pred is None
-        else:
-            assert pred is not None and pred.shape == y.shape
+        assert pred.shape == y.shape
         for g in range(offsets.shape[0] - 1):
             oracle = scalar_fit(
                 lambda: reference.make_regressor(config), x2d, y, offsets, g
             )
             assert_regressor_equal(regressors[g], oracle,
                                    f"{regressor} d={d} group {g}")
+            # The in-sample prediction is predict's, bit for bit (an
+            # ensemble's without query bounds: its default constituent).
+            seg = slice(int(offsets[g]), int(offsets[g + 1]))
+            np.testing.assert_array_equal(
+                pred[seg],
+                regressors[g].predict(x2d[seg, 0] if d == 1 else x2d[seg]),
+                err_msg=f"{regressor} d={d} group {g}: in-sample prediction",
+            )
 
     def test_ensemble_selector_routes_identically(self):
         x2d, y, offsets = make_flat(d=1)
@@ -304,6 +313,86 @@ class TestFitForestRegressors:
         np.testing.assert_array_equal(pred, oracle.predict(x2d[:, 0]))
 
 
+class TestSelectorLabels:
+    """The selector labels ranges from one in-sample prediction per
+    constituent; ``reference.selector_labels`` predicts every constituent
+    on each range's rows.  Features, labels, summed errors and the
+    default constituent must be identical."""
+
+    @staticmethod
+    def _capture(monkeypatch) -> list:
+        calls: list = []
+        label_ranges = EnsembleRegressor._label_ranges
+
+        def spy(self, x, y, preds):
+            out = label_ranges(self, x, y, preds)
+            calls.append((self, x, y, out))
+            return out
+
+        monkeypatch.setattr(EnsembleRegressor, "_label_ranges", spy)
+        return calls
+
+    @staticmethod
+    def _assert_reference_labels(calls: list) -> None:
+        assert calls
+        for ens, x, y, (features, labels, scores) in calls:
+            ref_features, ref_labels, ref_scores = reference.selector_labels(
+                ens, x, y
+            )
+            assert features == ref_features
+            assert labels == ref_labels
+            assert scores == ref_scores
+            assert ens.select() == min(ref_scores, key=ref_scores.get)
+
+    def test_store_sales_sample(self, monkeypatch):
+        calls = self._capture(monkeypatch)
+        table = generate_store_sales(10_000, seed=7)
+        x = table["ss_sold_date_sk"].astype(np.float64)
+        y = table["ss_sales_price"].astype(np.float64)
+        config = DBEstConfig(regressor="ensemble", random_seed=7)
+        fit_forest_regressors(x[:, None], y, np.asarray([0, x.shape[0]]), config)
+        self._assert_reference_labels(calls)
+        assert calls[0][0].selector_ is not None
+
+    def test_small_groups_skip_sparse_ranges(self, monkeypatch):
+        calls = self._capture(monkeypatch)
+        x2d, y, offsets = make_flat(d=1)
+        config = DBEstConfig(regressor="ensemble", random_seed=3)
+        fit_forest_regressors(x2d, y, offsets, config)
+        scalar_fit(lambda: reference.make_regressor(config), x2d, y, offsets, 7)
+        self._assert_reference_labels(calls)
+        # Some ranges of the 30- to 80-row groups hold < min_eval_points rows.
+        assert any(
+            0 < len(features) < ens.n_eval_queries
+            for ens, _, _, (features, _, _) in calls
+        )
+
+    def test_tied_x(self, monkeypatch):
+        calls = self._capture(monkeypatch)
+        rng = np.random.default_rng(11)
+        x = np.round(rng.uniform(0.0, 10.0, size=400))
+        y = 2.0 * x + np.where(x > 5.0, 8.0, 0.0) + rng.normal(0.0, 1.0, 400)
+        config = DBEstConfig(regressor="ensemble", random_seed=11)
+        fit_forest_regressors(x[:, None], y, np.asarray([0, 150, 400]), config)
+        reference.make_regressor(config).fit(x, y)
+        self._assert_reference_labels(calls)
+
+    def test_custom_constituents_without_forests(self, monkeypatch):
+        calls = self._capture(monkeypatch)
+        rng = np.random.default_rng(13)
+        x = rng.uniform(0.0, 100.0, size=2000)
+        y = x * np.sin(x / 10.0) + rng.normal(0.0, 2.0, size=2000)
+        ens = EnsembleRegressor(
+            constituents={
+                "linear": LinearRegressor,
+                "plr": partial(PiecewiseLinearRegressor, n_knots=6),
+            },
+            random_state=13,
+        ).fit(x, y)
+        self._assert_reference_labels(calls)
+        assert ens.selector_ is not None
+
+
 # -- guard: no train path fits a model row-wise ------------------------------
 
 
@@ -314,14 +403,32 @@ ROW_WISE_FITS = (
 )
 
 
-def _guard_fits(monkeypatch) -> None:
-    """Make every row-wise ``fit`` raise.  ``PiecewiseLinearRegressor``
-    is left alone: an ensemble fits its ``plr`` constituent per group."""
+# Forest ``predict``s, down to an XGB booster's per-stage tree: training
+# reads forest predictions off the kernel instead.
+FOREST_PREDICTS = (
+    DecisionTreeRegressor, GradientBoostingRegressor, XGBRegressor, _XGBTree,
+)
+
+
+def _guard_fits(monkeypatch) -> list[str]:
+    """Make every row-wise ``fit`` raise, and return the list that every
+    forest ``predict`` call appends its class name to.
+    ``PiecewiseLinearRegressor`` is left alone: an ensemble fits its
+    ``plr`` constituent per group and predicts it once."""
     for cls in ROW_WISE_FITS:
         def forbidden(self, *args, _name=cls.__name__, **kwargs):
             raise AssertionError(f"{_name}.fit called on a train path")
 
         monkeypatch.setattr(cls, "fit", forbidden)
+    calls: list[str] = []
+    for cls in FOREST_PREDICTS:
+        def spy(self, *args, _name=cls.__name__, _predict=cls.predict,
+                **kwargs):
+            calls.append(_name)
+            return _predict(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "predict", spy)
+    return calls
 
 
 class TestNoRowWiseFits:
@@ -333,7 +440,7 @@ class TestNoRowWiseFits:
         if (regressor, d) != ("plr", 2)  # refused: the spline is 1-D only
     ])
     def test_train_paths(self, monkeypatch, regressor, d):
-        _guard_fits(monkeypatch)
+        forest_predicts = _guard_fits(monkeypatch)
         rng = np.random.default_rng(5)
         counts = np.asarray(GROUP_SIZES)
         groups = np.repeat(np.arange(counts.shape[0]), counts)
@@ -378,3 +485,4 @@ class TestNoRowWiseFits:
             name="t",
         ))
         assert refreshed
+        assert forest_predicts == []

@@ -24,8 +24,9 @@ from repro.errors import (
     QueryExecutionError,
     UnsupportedQueryError,
 )
-from repro.integrate import simpson_grid, simpson_weights
+from repro.integrate import simpson_weights
 from repro.ml.kde import KernelDensityEstimator
+from repro.reference import simpson_grid
 from repro.sql.ast import AggregateCall
 
 

@@ -44,7 +44,7 @@ from repro.core import DBEstConfig, GroupByModelSet, ModelKey, answer_aggregate
 from repro.core.batched import BatchedGroupEvaluator
 from repro.core.model import ColumnSetModel
 from repro.errors import UnsupportedQueryError
-from repro.integrate import affine_piece_integrals, cumulative_moments, simpson_grid
+from repro.integrate import affine_piece_integrals, cumulative_moments
 from repro.integrate.moments import _WINDOW, _window
 from repro.ml.ensemble import EnsembleRegressor
 from repro.ml.kde import KernelDensityEstimator
@@ -103,7 +103,7 @@ class TestCumulativeMoments:
         moments = cumulative_moments(g, w, offsets, group, t)
         for k, (lo, hi) in enumerate(((-3.0, 4.5), (-8.0, 0.25))):
             rows = slice(offsets[k], offsets[k + 1])
-            u, weights = simpson_grid(lo, hi, REFERENCE_NODES)
+            u, weights = reference.simpson_grid(lo, hi, REFERENCE_NODES)
             z = u[:, None] - g[rows][None, :]
             pdf = (np.exp(-0.5 * z * z) @ w[rows]) / math.sqrt(2.0 * math.pi)
             got = moments[2 * k + 1] - moments[2 * k]

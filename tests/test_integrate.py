@@ -7,12 +7,11 @@ import pytest
 
 from repro.errors import InvalidParameterError, QueryExecutionError
 from repro.integrate import (
-    adaptive_quad,
-    bisect,
     integrate_product,
     simpson_integrate,
     simpson_weights,
 )
+from repro.reference import adaptive_quad, bisect
 
 
 class TestSimpsonWeights:

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core import ColumnSetModel, DBEstConfig
-from repro.integrate import bisect, simpson_integrate
+from repro.integrate import simpson_integrate
 from repro.ml import KernelDensityEstimator, relative_error
 from repro.ml.tree import DecisionTreeRegressor
+from repro.reference import bisect
 from repro.sampling import (
     hash_sample_mask,
     reservoir_sample_indices,
