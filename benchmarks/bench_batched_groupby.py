@@ -38,7 +38,7 @@ PARITY_BOUND = 1e-9
 
 # The paper's GROUP BY experiments sweep COUNT/SUM/AVG; VARIANCE and
 # PERCENTILE exercise the residual-variance pass and the lock-step
-# bisection respectively.
+# root solve respectively.
 AGGREGATES = (
     AggregateCall("COUNT", "y"),
     AggregateCall("SUM", "y"),

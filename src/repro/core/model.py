@@ -270,7 +270,7 @@ class ColumnSetModel:
         return self.answer(AggregateCall("STDDEV", self.x_columns[0]), ranges)
 
     def percentile(self, p: float, ranges: Ranges | None = None) -> float:
-        """PERCENTILE(x, p): solve F(a) = p by bisection  (Equations 4–5).
+        """PERCENTILE(x, p): solve F(a) = p on a bracket  (Equations 4–5).
 
         With a range predicate present, the CDF is conditioned on the
         range, matching the paper's sensitivity experiments that vary

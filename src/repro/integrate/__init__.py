@@ -20,11 +20,11 @@ from repro.integrate.quadrature import (
     simpson_integrate,
     simpson_weights,
 )
-from repro.integrate.roots import bisect_many
+from repro.integrate.roots import bracketed_roots
 
 __all__ = [
     "affine_piece_integrals",
-    "bisect_many",
+    "bracketed_roots",
     "cumulative_moments",
     "integrate_product",
     "ordered_sum",

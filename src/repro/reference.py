@@ -50,9 +50,10 @@ from repro.core.model import _EMPTY_DENSITY, ColumnSetModel, Ranges
 from repro.errors import (
     InvalidParameterError,
     ModelTrainingError,
+    QueryExecutionError,
     UnsupportedQueryError,
 )
-from repro.integrate import bisect_many, simpson_weights
+from repro.integrate import simpson_weights
 from repro.integrate.quadrature import _check_interval
 from repro.ml.ensemble import EnsembleRegressor
 from repro.ml.gbm import GradientBoostingRegressor
@@ -115,14 +116,37 @@ def bisect(
     tol: float = 1e-8,
     max_iter: int = 200,
 ) -> float:
-    """Find a root of ``f`` in ``[lo, hi]`` by bisection.
+    """Find a root of ``f`` in ``[lo, hi]`` by bisection, as in the paper.
 
     Requires ``f(lo)`` and ``f(hi)`` to bracket zero (opposite signs or one
     of them exactly zero).  Converges linearly; ``max_iter`` of 200 is far
-    beyond what a ``tol`` of 1e-8 over any realistic domain needs.
+    beyond what a ``tol`` of 1e-8 over any realistic domain needs.  The
+    engine's :func:`repro.integrate.roots.bracketed_roots` keeps this
+    contract with secant steps; this loop shares no code with it.
     """
-    one = bisect_many(lambda t: np.asarray([f(t[0])]), [lo], [hi], tol, max_iter)
-    return float(one[0])
+    lo, hi = float(lo), float(hi)
+    if hi < lo:
+        raise InvalidParameterError(f"bisection interval reversed: [{lo}, {hi}]")
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if (f_lo > 0) == (f_hi > 0):
+        raise QueryExecutionError(
+            f"bisection interval [{lo}, {hi}] does not bracket a root "
+            f"(f(lo)={f_lo:.3g}, f(hi)={f_hi:.3g})"
+        )
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0.0 or (hi - lo) < tol:
+            return mid
+        if (f_mid > 0) == (f_hi > 0):
+            hi, f_hi = mid, f_mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 # -- model helpers ---------------------------------------------------------------

@@ -48,6 +48,7 @@ from repro.integrate import affine_piece_integrals, cumulative_moments
 from repro.integrate.moments import _WINDOW, _window
 from repro.ml.ensemble import EnsembleRegressor
 from repro.ml.kde import KernelDensityEstimator
+from repro.obs import disable_metrics, enable_metrics
 from repro.serve import ModelStore
 from repro.sql.ast import AggregateCall
 
@@ -592,6 +593,83 @@ class TestBatchedScalarParity:
                 for part in evaluator.split(3):
                     chunked.update(part.answer(AggregateCall(*call), ranges))
                 assert same_bits(whole, chunked)
+
+
+# -- the PERCENTILE solve --------------------------------------------------------
+
+
+class TestPercentileSolve:
+    """PERCENTILE by the bracketed secant against the KDE's own CDF
+    bisected (``reference.four_leg_percentile``), at the engine's sizes."""
+
+    PS = (0.01, 0.25, 0.5, 0.9, 0.999)
+
+    def test_scalar_model_on_a_ten_thousand_row_sample(self):
+        rng = np.random.default_rng(11)
+        x = np.r_[rng.normal(30.0, 4.0, 6000), rng.gamma(2.0, 6.0, 4000) + 55.0]
+        y = 0.5 * x + rng.normal(0.0, 1.0, x.shape[0])
+        config = DBEstConfig(regressor="plr", random_seed=11)
+        model = ColumnSetModel.train(x, y, "t", ("x",), "y", 300_000, config)
+        for ranges in ({}, {"x": (28.0, 29.0)}, {"x": (20.0, 90.0)}):
+            for p in self.PS:
+                got = model.answer(AggregateCall("PERCENTILE", "x", p), ranges)
+                want = reference.four_leg_percentile(model, p, ranges)
+                assert abs(got - want) <= 1e-9, (ranges, p)
+
+    def test_two_hundred_group_set(self):
+        rng = np.random.default_rng(5)
+        groups = np.repeat(np.arange(200), 40)
+        skew = rng.uniform(0.8, 1.2, 200)[groups]
+        x = rng.uniform(0.0, 100.0, groups.shape[0]) ** skew
+        y = x + rng.normal(0.0, 1.0, groups.shape[0])
+        model_set = GroupByModelSet.train(
+            sample_x=x, sample_y=y, sample_groups=groups,
+            full_groups=groups, full_x=x, full_y=y,
+            table_name="t", x_columns=("x",), y_column="y", group_column="g",
+            config=DBEstConfig(regressor="plr", min_group_rows=30, random_seed=5),
+        )
+        for ranges, p in (({}, 0.05), ({}, 0.95), ({"x": (20.0, 45.0)}, 0.5)):
+            aggregate = AggregateCall("PERCENTILE", "x", p)
+            batched = model_set.answer(aggregate, ranges, batched=True)
+            scalar = model_set.answer(aggregate, ranges, batched=False)
+            assert_parity(batched, scalar)
+            for value, model in model_set.models.items():
+                want = reference.four_leg_percentile(model, p, ranges)
+                assert abs(batched[value] - want) <= 1e-9, (value, ranges, p)
+
+    def test_a_point_mass_answers_its_point(self):
+        """Its CDF is a unit step, inclusive at both range ends: a range
+        that starts on the point (which no bracket around the point can
+        solve) answers it too, and a range that misses it, or is empty
+        like COUNT's, has no answer."""
+        model_set = trained_model_set("plr")
+        aggregate = AggregateCall("PERCENTILE", "x", 0.3)
+        below = model_set.models[POINT_MASS_GROUP].density.support[0]
+        for ranges, want in (
+            ({}, POINT_MASS_X),
+            ({"x": (10.0, POINT_MASS_X)}, POINT_MASS_X),
+            ({"x": (POINT_MASS_X, 50.0)}, POINT_MASS_X),
+            ({"x": (POINT_MASS_X, POINT_MASS_X)}, None),
+            ({"x": (10.0, 0.5 * (below + POINT_MASS_X))}, None),
+        ):
+            for batched in (True, False):
+                got = model_set.answer(aggregate, ranges, batched=batched)
+                got = got[POINT_MASS_GROUP]
+                assert got == want if want is not None else math.isnan(got)
+
+    def test_evaluations_per_solve_are_recorded(self):
+        model_set = trained_model_set("plr")
+        registry = enable_metrics()
+        try:
+            for p in (0.1, 0.5, 0.9):
+                model_set.answer(
+                    AggregateCall("PERCENTILE", "x", p), {"x": (20.0, 60.0)}
+                )
+            snap = registry.snapshot()["histograms"]["repro_percentile_evaluations"]
+        finally:
+            disable_metrics()
+        assert snap["count"] == 3
+        assert 3 <= snap["sum"] <= 3 * 16
 
 
 # -- history independence ------------------------------------------------------
