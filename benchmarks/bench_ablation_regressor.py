@@ -43,7 +43,7 @@ def ablation(store_sales, tpcds_truth):
                 "SUM_error": run.mean_relative_error("SUM"),
                 "latency_s": run.mean_latency(),
                 "train_s": stats["training_seconds"],
-                "model_MB": stats["model_bytes"] / 1e6,
+                "model_MB": engine.catalog.get(key).size_bytes() / 1e6,
             }
         )
         engines[backend] = engine

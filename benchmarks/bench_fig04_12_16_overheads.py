@@ -45,7 +45,7 @@ def overhead_rows(store_sales):
                 "sample": label,
                 "dbest_sampling_s": stats["sampling_seconds"],
                 "dbest_training_s": stats["training_seconds"],
-                "dbest_model_MB": stats["model_bytes"] / 1e6,
+                "dbest_model_MB": dbest.catalog.get(key).size_bytes() / 1e6,
                 "verdict_sampling_s": verdict_sampling,
                 "verdict_sample_MB": verdict.state_size_bytes() / 1e6,
             }
@@ -77,7 +77,7 @@ def groupby_overheads(store_sales):
             "engine": "DBEst (57 groups)",
             "sampling_s": stats["sampling_seconds"],
             "training_s": stats["training_seconds"],
-            "state_MB": stats["model_bytes"] / 1e6,
+            "state_MB": dbest.catalog.get(key).size_bytes() / 1e6,
         },
         {
             "engine": "VerdictDB",

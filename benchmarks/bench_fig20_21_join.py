@@ -53,7 +53,7 @@ def workload(store):
 def comparison(store_sales, store, tpcds_truth, workload):
     sizes = {"10k": SAMPLE_10K, "100k": SAMPLE_100K, "1m": SAMPLE_1M}
     engines = {}
-    stats = {}
+    model_bytes = {}
     for label, size in sizes.items():
         dbest = make_dbest(store_sales, store, regressor="xgboost", seed=13)
         key = dbest.build_join_model(
@@ -67,7 +67,7 @@ def comparison(store_sales, store, tpcds_truth, workload):
                 x="s_number_of_employees", y=y, sample_size=size,
             )
         engines[f"DBEst_{label}"] = dbest
-        stats[f"DBEst_{label}"] = dbest.build_stats[key]
+        model_bytes[f"DBEst_{label}"] = dbest.catalog.get(key).size_bytes()
 
     # The paper's VerdictDB joins a *fixed 10m-row* fact sample with the
     # 60-row dimension table at query time; at repo scale that sample is
@@ -89,7 +89,7 @@ def comparison(store_sales, store, tpcds_truth, workload):
         row["OVERALL"] = run.mean_relative_error()
         error_rows.append(row)
         if name.startswith("DBEst"):
-            space = stats[name]["model_bytes"] / 1e6
+            space = model_bytes[name] / 1e6
         else:
             space = verdict.state_size_bytes() / 1e6
         perf_rows.append(

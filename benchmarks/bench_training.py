@@ -15,11 +15,15 @@ coefficients and knots — within 1e-12 of the loop-trained oracle, and
 the derived residual-variance bins within 1e-9: they square residuals,
 which amplifies coefficient rounding by the data's magnitude).
 
-The nonlinear legs (tree / gboost / xgboost) time the level-synchronous
-forest kernel (:mod:`repro.core.batched_forest`) against the same
-per-group loop of row-wise fits: each must be >= 3x faster
-with **bit-identical** node arrays (feature / threshold / left / right /
-value across every boosting round — exact equality, not a tolerance).
+The nonlinear legs (tree / gboost / xgboost) time the batched forest
+kernel (:mod:`repro.core.batched_forest`; this workload is 1-D, so it
+searches splits on the per-(group, bin) table) against the same
+per-group loop of row-wise fits: each must be >= 3x faster, with every
+tree's structure identical (booster base, feature / threshold / left /
+right across every boosting round, bit for bit) and its values within
+1e-12 of the tree's largest ``|value|``.  The kernel sums node labels in
+the loop's order, so the value divergence reads 0 unless the structure
+already differs.
 
 Run directly (``python benchmarks/bench_training.py``) the record is
 also written to ``BENCH_training.json`` at the repo root so the
@@ -56,9 +60,10 @@ FOREST_REPEATS = 1  # loop-path booster fits run seconds per build
 # bucketed normal-equation solves, batched residual state); linear is the
 # minimal stacked design.
 REGRESSORS = ("plr", "linear")
-# Nonlinear legs time the level-synchronous forest kernel against the
-# per-group row-wise fits; their node arrays must match exactly.
+# Nonlinear legs time the forest kernel against the per-group row-wise
+# fits; tree structure must match exactly, values to PARITY_BOUND.
 FOREST_REGRESSORS = ("tree", "gboost", "xgboost")
+NODE_KEYS = ("feature", "threshold", "left", "right", "value")
 
 
 def _make_workload(seed: int = 7):
@@ -150,42 +155,50 @@ def max_divergences(
     return worst, residual_worst
 
 
-def _node_arrays(regressor):
-    """Every fitted node array of a tree/booster, in a fixed order."""
+def _trees(regressor) -> list[dict]:
+    """Every fitted tree of a tree / booster, as ``NODE_KEYS`` arrays."""
     if hasattr(regressor, "_nodes"):  # DecisionTreeRegressor
-        return [regressor._nodes[key]
-                for key in ("feature", "threshold", "left", "right", "value")]
-    arrays = [np.asarray([regressor._base])]
-    for tree in regressor._trees:
-        if hasattr(tree, "_nodes"):  # gboost stages
-            arrays.extend(tree._nodes[key]
-                          for key in ("feature", "threshold", "left",
-                                      "right", "value"))
-        else:  # xgboost rounds
-            arrays.extend(getattr(tree, attr)
-                          for attr in ("_feature_arr", "_threshold_arr",
-                                       "_left_arr", "_right_arr",
-                                       "_value_arr"))
-    return arrays
+        return [regressor._nodes]
+    return [
+        tree._nodes if hasattr(tree, "_nodes")  # gboost stages
+        else {key: getattr(tree, f"_{key}_arr") for key in NODE_KEYS}
+        for tree in regressor._trees
+    ]
 
 
-def forest_nodes_identical(
+def forest_node_parity(
     batched: GroupByModelSet, scalar: GroupByModelSet
-) -> bool:
-    """Exact (bitwise) equality of every group's fitted node arrays."""
+) -> tuple[bool, float]:
+    """(structure identical, max value divergence) over every group.
+
+    Structure is the booster base and each tree's feature / threshold /
+    left / right, compared bitwise with dtypes.  A tree's value
+    divergence is its largest ``|difference|`` over its largest
+    ``|value|``.
+    """
     if set(batched.models) != set(scalar.models):
-        return False
+        return False, float("inf")
+    identical, worst = True, 0.0
     for value, expected in scalar.models.items():
-        got_arrays = _node_arrays(batched.models[value].regressor)
-        exp_arrays = _node_arrays(expected.regressor)
-        if len(got_arrays) != len(exp_arrays):
-            return False
-        for got_arr, exp_arr in zip(got_arrays, exp_arrays):
-            if got_arr.dtype != exp_arr.dtype or not np.array_equal(
-                got_arr, exp_arr
-            ):
-                return False
-    return True
+        got = batched.models[value].regressor
+        identical &= getattr(got, "_base", None) == getattr(
+            expected.regressor, "_base", None
+        )
+        got_trees, exp_trees = _trees(got), _trees(expected.regressor)
+        if len(got_trees) != len(exp_trees):
+            return False, float("inf")
+        for got_tree, exp_tree in zip(got_trees, exp_trees):
+            for key in NODE_KEYS[:-1]:
+                identical &= (
+                    got_tree[key].dtype == exp_tree[key].dtype
+                    and np.array_equal(got_tree[key], exp_tree[key])
+                )
+            if not identical:
+                return False, float("inf")
+            diff = np.abs(got_tree["value"] - exp_tree["value"]).max()
+            scale = np.abs(exp_tree["value"]).max()
+            worst = max(worst, float(diff / scale) if scale else float(diff))
+    return identical, worst
 
 
 def run_benchmark() -> dict:
@@ -221,13 +234,15 @@ def run_benchmark() -> dict:
         )
         max_divergence = max(max_divergence, divergence)
         max_residual = max(max_residual, residual_divergence)
+        structure_identical, value_divergence = forest_node_parity(
+            batched_set, scalar_set
+        )
         per_regressor[regressor] = {
             "loop_seconds": loop_s,
             "batched_seconds": batched_s,
             "speedup": loop_s / batched_s,
-            "nodes_identical": forest_nodes_identical(
-                batched_set, scalar_set
-            ),
+            "structure_identical": structure_identical,
+            "max_value_divergence": value_divergence,
             "max_param_divergence": divergence,
             "max_residual_divergence": residual_divergence,
         }
@@ -263,7 +278,10 @@ def test_batched_training_speedup_and_parity():
     )
     for name in FOREST_REGRESSORS:
         row = record["per_regressor"][name]
-        assert row["nodes_identical"], f"{name}: node arrays diverged"
+        assert row["structure_identical"], f"{name}: tree structure diverged"
+        assert row["max_value_divergence"] <= PARITY_BOUND, (
+            f"{name}: node values diverged by {row['max_value_divergence']:.1e}"
+        )
         assert row["speedup"] >= FOREST_SPEEDUP_FLOOR, (
             f"forest kernel only {row['speedup']:.1f}x faster for {name}; "
             f"need >= {FOREST_SPEEDUP_FLOOR}x"
@@ -278,9 +296,11 @@ def main() -> int:
           f"forest legs best of {FOREST_REPEATS})")
     for name, row in record["per_regressor"].items():
         nodes = ""
-        if "nodes_identical" in row:
-            nodes = ("   nodes identical" if row["nodes_identical"]
-                     else "   NODES DIVERGED")
+        if "structure_identical" in row:
+            nodes = (f"   structure identical, values "
+                     f"{row['max_value_divergence']:.1e}"
+                     if row["structure_identical"]
+                     else "   STRUCTURE DIVERGED")
         print(
             f"  {name:<8} loop {row['loop_seconds'] * 1e3:8.2f} ms   "
             f"batched {row['batched_seconds'] * 1e3:7.2f} ms   "
@@ -292,7 +312,9 @@ def main() -> int:
           f"(floor {SPEEDUP_FLOOR}x, forest legs {FOREST_SPEEDUP_FLOOR}x); "
           f"record written to {RESULT_PATH}")
     ok = record["overall_speedup"] >= SPEEDUP_FLOOR and all(
-        record["per_regressor"][name]["nodes_identical"]
+        record["per_regressor"][name]["structure_identical"]
+        and record["per_regressor"][name]["max_value_divergence"]
+        <= PARITY_BOUND
         and record["per_regressor"][name]["speedup"] >= FOREST_SPEEDUP_FLOOR
         for name in FOREST_REGRESSORS
     )

@@ -1496,7 +1496,9 @@ class BatchedGroupEvaluator:
 
         Both range ends are evaluated in one pass, which fixes ``f`` at
         the ends, so the solver does not evaluate them again.  A
-        point-mass group needs no solve: its answer is the point.
+        point-mass group needs no solve: its answer is the point.  A
+        group whose clipped range is empty answers NaN (COUNT's rule
+        gives it 0), whatever the other groups answer.
         """
         state = self._m
         if not 0.0 < p < 1.0:
@@ -1508,11 +1510,7 @@ class BatchedGroupEvaluator:
         if has_ranges:
             lo = np.maximum(lo, lb)
             hi = np.minimum(hi, ub)
-        if np.any(hi < lo):
-            bad = int(np.flatnonzero(hi < lo)[0])
-            raise InvalidParameterError(
-                f"integration bounds reversed: [{lo[bad]}, {hi[bad]}]"
-            )
+        hi = np.maximum(hi, lo)  # an empty clipped range holds no mass
         g = lo.shape[0]
         every = np.arange(g)
         ends = self._mass_below(np.concatenate((every, every)))(

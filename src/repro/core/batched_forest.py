@@ -1,14 +1,14 @@
-"""Level-synchronous forest training across all groups at once.
+"""Forest training across all groups at once.
 
 Nonlinear regressors (tree, gboost, xgboost, ensemble) fitted row-wise
 take one recursive fit per group.  This module grows **every group's
-tree simultaneously**, replacing per-group recursion with a fixed number
-of whole-forest array passes per depth level, and emits node arrays
-**bit-identical** to the scalar fits (same edges, same gains, same node
-order); the row-wise fits survive only as the parity oracle.
+tree simultaneously**: a fixed number of whole-forest array passes per
+depth level replaces per-group recursion, and the node arrays come out
+in the scalar fits' layout and DFS order; the row-wise fits survive only
+as the parity oracle (:mod:`repro.reference`).
 
-Algorithm — level-synchronous growth
-------------------------------------
+Binning
+-------
 
 All groups' rows live in one flat group-major array (the trainer's
 ``GroupPartition`` layout, original within-group order).  Each feature
@@ -19,52 +19,95 @@ the per-group quantile vector, edges at the group maximum dropped) —
 giving an ``(R, d)`` code matrix and a ``(G, d, W)`` edge tensor padded
 with ``+inf``.
 
-Growth then proceeds one depth level at a time over *all* trees:
+1-D: growth on the (group, bin) table
+-------------------------------------
+
+In one dimension every node is a contiguous range of its group's bins,
+so split search runs on a per-(group, bin) table rather than on rows
+(:func:`_grow_table`).  The table keeps only occupied bins: a split
+after an empty bin cuts the rows where the split after the occupied
+bin before it does, both score the same to the bit, and the scalar
+argmax takes the lower bin.  Per fit the table holds each cell's
+running row count; per tree one ``bincount`` of the labels gives each
+cell's label sum (its rows added in row order, as the scalar histograms
+add them) and one ``cumsum`` along each group's cells its running sum.
+Each level then:
+
+1. takes every node's row count from the running counts and its label
+   sum from one ``bincount`` of the rows by node — the rows added in row
+   order, as the scalar fitters' sequential sums add them — so value and
+   stop test (``min_samples_split`` / ``2 * min_child_weight``) are the
+   scalar fit's bits;
+2. bounds each node's valid split cells with two ``searchsorted`` calls
+   on the running counts (``min_samples_leaf`` / ``min_child_weight``
+   rows on each side), and reads every candidate's left count and sum as
+   a difference of two table entries;
+3. scores CART variance reduction or the XGB regularised gain for every
+   candidate and takes each node's first maximum with two segmented
+   ``reduceat`` calls;
+4. sets retiring nodes aside; after the last level the leaves, which
+   partition every group's cells, map each row to its leaf value (the
+   in-sample prediction) in one pass.
+
+The split search costs O(candidate cells) whatever the row count; the
+rows are read once per level, by the node-sum ``bincount``.  A
+candidate's left sum is a difference of running sums where the scalar
+fit restarts its cumsum at the node's first bin, so two splits whose
+scores tie to within rounding could be ordered differently; the parity
+suites hold the node arrays bit-identical to the scalar fits on every
+fixture.
+
+d >= 2: level-synchronous growth on rows
+----------------------------------------
+
+Nodes are not bin ranges, so :func:`_grow_forest` grows on rows, one
+depth level at a time over *all* trees:
 
 1. **Node statistics.**  Active rows are kept contiguous per node; one
    ``np.bincount`` over the node slot vector yields every node's label
-   sum, every node's value, and the stop test (``min_samples_split`` /
-   ``2 * min_child_weight``), for all groups in one call.
+   sum, every node's value, and the stop test, for all groups in one
+   call.
 2. **Histograms.**  For the splittable nodes a single flattened
    multi-index bincount builds the per-(node, feature, bin) count and
    label-sum tensor: ``flat = (slot * d + feature) * B + code``.  Nodes
    are chunked so the tensor stays inside a fixed element budget.
 3. **Split search.**  Left/right statistics are prefix sums over the bin
-   axis (one ``cumsum``); CART variance-reduction scores and XGB
-   regularised gains are evaluated for every (node, feature, bin) at
-   once, invalid bins (child-size bounds, per-group bin padding) masked
-   to ``-inf``.
+   axis (one ``cumsum``); scores and gains are evaluated for every
+   (node, feature, bin) at once, invalid bins (child-size bounds,
+   per-group bin padding) masked to ``-inf``.
 4. **Reassignment.**  Rows of splitting nodes route left/right by one
    gather of their split-feature code; a stable argsort on
    ``2 * node + side`` keeps children contiguous *and* preserves each
    row's original relative order, so the next level's bincounts
    accumulate in the same order the scalar recursion would.  Rows of
    retiring nodes write the node value into the flat in-sample
-   prediction (used by boosting, by the ensemble's range selector and
-   by the residual-variance pass).
+   prediction.
+
+Node sums are accumulated with ``np.bincount`` — strictly sequential in
+input order — and the scalar fitters were aligned to the same order (see
+:func:`repro.ml._histogram.sequential_sum`), so whole fitted forests
+match the scalar fits **bit for bit**.
+
+Both kernels
+------------
 
 Boosting is the same kernel run ``n_estimators`` times with labels
 rebound between rounds — residuals ``y - prediction`` for gboost,
 gradients ``prediction - y`` for xgboost (unit hessians make the hessian
-histogram the count histogram) — and the per-round in-sample prediction
-update comes free from step 4's leaf assignment, bitwise equal to
-``tree.predict`` on the training rows because training-time code
-partition and post-fit threshold traversal agree (``code <= s`` iff
-``x <= edges[s]``).
+sums the row counts) — and the per-round in-sample prediction update
+comes free from the leaf assignment, bitwise equal to ``predict`` on the
+training rows because training-time code partition and post-fit
+threshold traversal agree (``code <= s`` iff ``x <= edges[s]``).
 
-Tie-breaking contract (exact scalar replication)
-------------------------------------------------
+Every reduction runs per group or per node, never across groups, so a
+group's node arrays and predictions are the same bits whether it trains
+alone, in the full set or in a refresh's dirty subset.
 
-The scalar fitters take, per feature, ``np.argmax`` over bin scores
-(first maximum wins) and then accept the first feature that *strictly*
+Tie-breaking follows the scalar fitters: per feature ``np.argmax`` over
+bin scores (first maximum wins), then the first feature that *strictly*
 improves the running best gain — initialised to ``1e-12`` for CART and
-``0.0`` for XGB.  That is equivalent to a first-maximum argmax across
-the (node, feature) gain matrix followed by one strict threshold test,
-which is what step 3 computes.  Node sums are accumulated with
-``np.bincount`` — strictly sequential in input order — and the scalar
-fitters were aligned to the same order (see
-:func:`repro.ml._histogram.sequential_sum`), so gains, values and hence
-whole fitted forests match bit-for-bit.
+``0.0`` for XGB.  Child-size floors must be positive so no empty child
+can be created.
 
 Node numbering.  Levels create nodes breadth-first, but the scalar
 recursion numbers them depth-first (each split allocates its two
@@ -74,7 +117,9 @@ pass per level, preorder indices by one top-down pass per level, then
 ``newid(child) = 1 + 2 * preorder-rank-among-internal(parent) + side``
 reproduces the scalar allocation order exactly, and one scatter writes
 the per-group ``feature/threshold/left/right/value`` arrays in the
-layout :meth:`repro.ml.tree._FlatTree.finalize` produces.
+layout :meth:`repro.ml.tree._FlatTree.finalize` produces.  Both kernels
+emit each level's nodes in the same order (group, then parent, then
+side) and share this pass.
 """
 
 from __future__ import annotations
@@ -107,9 +152,10 @@ class _GroupBins:
     ``n_bins``: ``(G, d)`` bins per group and feature (edges + 1).
     ``edges``: ``(G, d, W)`` edge tensor, ``+inf`` beyond a group's real
     edges — ``edges[g, f, b]`` is the raw threshold of split bin ``b``.
+    ``table``: the :class:`_BinTable` when ``d == 1``, else None.
     """
 
-    __slots__ = ("codes", "n_bins", "edges")
+    __slots__ = ("codes", "n_bins", "edges", "table")
 
     def __init__(
         self, codes: np.ndarray, n_bins: np.ndarray, edges: np.ndarray
@@ -117,6 +163,55 @@ class _GroupBins:
         self.codes = codes
         self.n_bins = n_bins
         self.edges = edges
+        self.table: _BinTable | None = None
+
+
+class _BinTable:
+    """The 1-D fit's ``(group, bin)`` table, over occupied bins only.
+
+    A split after an empty bin cuts a group's rows exactly where one
+    after the occupied bin before it does; the two score the same to the
+    bit (the running sums add 0.0) and the first maximum takes the lower
+    bin, so empty bins are never split points and the table drops them.
+
+    ``cell``: ``(R,)`` each row's flat cell ``g * width + k``, ``k`` the
+    rank of its bin among its group's occupied bins.
+    ``n_cells``: ``(G,)`` occupied bins per group.
+    ``rows_to``: ``(G * width,)`` rows in every cell up to and including
+    each one, counted across groups (exact integers, non-decreasing, so
+    ``searchsorted`` finds child-size bounds).
+    ``threshold``: ``(G * width,)`` the raw threshold of a split after
+    each cell (its bin's edge).
+    """
+
+    __slots__ = ("cell", "n_cells", "width", "rows_to", "threshold")
+
+    def __init__(
+        self,
+        group_ids: np.ndarray,
+        codes: np.ndarray,
+        edges: np.ndarray,
+        n_bins: np.ndarray,
+    ) -> None:
+        n_groups = n_bins.shape[0]
+        wide = int(n_bins.max())
+        raw = group_ids * wide + codes
+        occupied = np.bincount(raw, minlength=n_groups * wide) > 0
+        occupied = occupied.reshape(n_groups, wide)
+        rank = np.cumsum(occupied, axis=1) - 1
+        self.n_cells = occupied.sum(axis=1)
+        self.width = width = int(self.n_cells.max())
+        self.cell = group_ids * width + rank.ravel()[raw]
+        self.rows_to = np.cumsum(
+            np.bincount(self.cell, minlength=n_groups * width)
+        ).astype(np.float64)
+        # A group's last bin has no edge; no split ever follows it.
+        last = np.full((n_groups, 1), np.inf)
+        gi, bi = np.nonzero(occupied)
+        self.threshold = np.full(n_groups * width, np.inf)
+        self.threshold[gi * width + rank[gi, bi]] = np.concatenate(
+            (edges, last), axis=1
+        )[gi, bi]
 
 
 def _compute_bins(
@@ -166,7 +261,21 @@ def _compute_bins(
         seg = slice(starts[g], starts[g] + counts[g])
         for j in range(d):
             codes[seg, j] = np.searchsorted(edges[g, j], x2d[seg, j])
-    return _GroupBins(codes, edge_counts + 1, edges)
+    bins = _GroupBins(codes, edge_counts + 1, edges)
+    if d == 1:
+        bins.table = _BinTable(
+            group_ids, codes[:, 0], edges[:, 0, :], bins.n_bins[:, 0]
+        )
+    return bins
+
+
+def _grow(
+    bins: _GroupBins, labels: np.ndarray, offsets: np.ndarray, **params
+) -> dict[str, np.ndarray]:
+    """One tree per group: on the bin table at ``d == 1``, else on rows."""
+    if bins.table is not None:
+        return _grow_table(bins.table, labels, **params)
+    return _grow_forest(bins, labels, offsets, **params)
 
 
 def _grow_forest(
@@ -192,8 +301,7 @@ def _grow_forest(
     them.  Child-size floors must be positive (``min_samples_leaf`` for
     CART, ``min_child_weight`` for XGB) so no empty child can be created.
     """
-    registry = get_registry()
-    t0 = perf_counter() if registry.enabled else 0.0
+    t0 = perf_counter()
     codes = bins.codes
     n_groups = offsets.shape[0] - 1
     d = codes.shape[1]
@@ -282,13 +390,7 @@ def _grow_forest(
         n_total += 2 * n_splits
         depth += 1
 
-    if registry.enabled:
-        registry.histogram("repro_forest_grow_seconds").observe(
-            perf_counter() - t0
-        )
-        registry.counter("repro_forest_levels_total").inc(len(levels))
-        registry.counter("repro_forest_rows_total").inc(int(offsets[-1]))
-        registry.counter("repro_forest_trees_total").inc(n_groups)
+    _observe_grow(t0, len(levels), int(offsets[-1]), n_groups)
     return _renumber_to_dfs(levels, n_groups, n_total)
 
 
@@ -394,6 +496,192 @@ def _search_splits(
         split_bin_sel[t_idx[c0:c1]] = np.where(
             accept, np.take_along_axis(sb, fsel[:, None], axis=1)[:, 0], 0
         )
+
+
+def _grow_table(
+    table: _BinTable,
+    labels: np.ndarray,
+    *,
+    kind: str,
+    max_depth: int,
+    min_samples_leaf: int = 1,
+    min_samples_split: int = 2,
+    min_child_weight: float = 1.0,
+    reg_lambda: float = 0.0,
+    gamma: float = 0.0,
+    leaf_pred: np.ndarray,
+) -> dict[str, np.ndarray]:
+    """:func:`_grow_forest` for ``d == 1``, on the bin table.
+
+    A 1-D node is a contiguous cell range ``[first, stop)`` of its
+    group's table row, so one running sum of labels along each group's
+    cells (and the table's running row count) gives every candidate
+    split's left statistics as differences of two table entries: the
+    split search costs O(candidate cells) whatever the row count.
+    """
+    t0 = perf_counter()
+    n_groups, width = table.n_cells.shape[0], table.width
+    rows_to = table.rows_to
+    # bincount adds each cell's rows in row order, as the scalar fitters'
+    # per-node histograms do.
+    cell_sums = np.bincount(
+        table.cell, weights=labels, minlength=n_groups * width
+    )
+    cum_s = np.cumsum(cell_sums.reshape(n_groups, width), axis=1).ravel()
+    floor = min_samples_leaf if kind == "cart" else min_child_weight
+    leaves: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    node_gid = np.arange(n_groups, dtype=np.int64)
+    node_group = np.arange(n_groups, dtype=np.int64)
+    first = node_group * width
+    stop = first + table.n_cells
+    n_total = n_groups
+    levels: list[dict[str, np.ndarray]] = []
+    depth = 0
+    while node_gid.size:
+        n_before = np.where(first > 0, rows_to[first - 1], 0.0)
+        s_before = np.where(first > node_group * width, cum_s[first - 1], 0.0)
+        nf = rows_to[stop - 1] - n_before
+        # Node sums over each node's rows in row order, one bincount (the
+        # scalar fitters' sequential sums), so values match theirs bit for
+        # bit.
+        sums = np.bincount(
+            _paint(first, stop, n_groups * width)[table.cell],
+            weights=labels, minlength=node_gid.size + 1,
+        )[1:]
+        if kind == "cart":
+            value = sums / nf
+            can_try = (depth < max_depth) & (nf >= min_samples_split)
+        else:
+            value = -sums / (nf + reg_lambda)
+            can_try = (depth < max_depth) & (nf >= 2.0 * min_child_weight)
+        split = np.full(node_gid.size, -1, dtype=np.int64)
+        t_idx = np.flatnonzero(can_try)
+        # Split after cell c is valid iff both children keep >= floor rows.
+        lo = np.searchsorted(rows_to, n_before[t_idx] + floor, side="left")
+        hi = np.searchsorted(
+            rows_to, n_before[t_idx] + nf[t_idx] - floor, side="right"
+        )
+        keep = hi > lo
+        t_idx, lo, n_cand = t_idx[keep], lo[keep], (hi - lo)[keep]
+        if t_idx.size:
+            split[t_idx] = _table_splits(
+                rows_to, cum_s, kind, lo, n_cand,
+                n_before[t_idx], s_before[t_idx], nf[t_idx], sums[t_idx],
+                reg_lambda, gamma,
+            )
+
+        splitting = split >= 0
+        s_idx = np.flatnonzero(splitting)
+        threshold = np.zeros(node_gid.size)
+        threshold[s_idx] = table.threshold[split[s_idx]]
+        retired = ~splitting
+        leaves.append((first[retired], stop[retired], value[retired]))
+
+        n_splits = s_idx.size
+        left_gid = np.full(node_gid.size, -1, dtype=np.int64)
+        right_gid = np.full(node_gid.size, -1, dtype=np.int64)
+        child_gid = n_total + np.arange(2 * n_splits, dtype=np.int64)
+        left_gid[s_idx] = child_gid[0::2]
+        right_gid[s_idx] = child_gid[1::2]
+        levels.append({
+            "gid": node_gid,
+            "group": node_group,
+            "value": value,
+            "feature": np.where(splitting, 0, -1),
+            "threshold": threshold,
+            "left": left_gid,
+            "right": right_gid,
+        })
+        if n_splits == 0:
+            break
+        # Children in (parent, side) order: the row kernel's BFS order.
+        cut = split[s_idx] + 1
+        first = np.stack((first[s_idx], cut), axis=1).ravel()
+        stop = np.stack((cut, stop[s_idx]), axis=1).ravel()
+        node_group = np.repeat(node_group[s_idx], 2)
+        node_gid = child_gid
+        n_total += 2 * n_splits
+        depth += 1
+
+    # The leaves partition every group's cells: one paint maps each row
+    # to its leaf.
+    first, stop, value = (np.concatenate(part) for part in zip(*leaves))
+    leaf_pred[:] = value[_paint(first, stop, n_groups * width)[table.cell] - 1]
+    _observe_grow(t0, len(levels), table.cell.shape[0], n_groups)
+    return _renumber_to_dfs(levels, n_groups, n_total)
+
+
+def _paint(first: np.ndarray, stop: np.ndarray, size: int) -> np.ndarray:
+    """``1 + i`` on each of ``size`` cells inside range ``[first[i],
+    stop[i])``, 0 outside every range; the ranges must be disjoint and
+    non-empty.  A running sum of ``+id`` at each first cell and ``-id``
+    at each stop cell paints them."""
+    ids = np.arange(1, first.shape[0] + 1)
+    paint = np.zeros(size + 1, dtype=np.int64)
+    paint[first] = ids
+    paint[stop] -= ids
+    return np.cumsum(paint[:-1])
+
+
+def _table_splits(
+    rows_to: np.ndarray,
+    cum_s: np.ndarray,
+    kind: str,
+    lo: np.ndarray,
+    n_cand: np.ndarray,
+    n_before: np.ndarray,
+    s_before: np.ndarray,
+    nf: np.ndarray,
+    sums: np.ndarray,
+    reg_lambda: float,
+    gamma: float,
+) -> np.ndarray:
+    """Best split cell of each node of one level, or -1.
+
+    Node ``i``'s valid splits follow cells ``lo[i] .. lo[i] + n_cand[i]
+    - 1``.  The split taken is the first maximum, as ``np.argmax`` takes
+    it, and only where it clears the scalar fitters' gain threshold.
+    Every reduction runs per node.
+    """
+    seg = np.cumsum(n_cand) - n_cand
+    cells = np.repeat(lo - seg, n_cand) + np.arange(int(seg[-1] + n_cand[-1]))
+    lc = rows_to[cells] - np.repeat(n_before, n_cand)
+    ls = cum_s[cells] - np.repeat(s_before, n_cand)
+    rc = np.repeat(nf, n_cand) - lc
+    rs = np.repeat(sums, n_cand) - ls
+    if kind == "cart":
+        score = ls**2 / lc + rs**2 / rc
+        best = np.maximum.reduceat(score, seg)
+        accept = best - sums * sums / nf > 1e-12
+    else:
+        lam = reg_lambda
+        parent = sums * sums / (nf + lam)
+        score = (
+            0.5 * (
+                ls**2 / (lc + lam) + rs**2 / (rc + lam)
+                - np.repeat(parent, n_cand)
+            )
+            - gamma
+        )
+        best = np.maximum.reduceat(score, seg)
+        accept = best > 0.0
+    top = np.minimum.reduceat(
+        np.where(score == np.repeat(best, n_cand), cells, rows_to.shape[0]),
+        seg,
+    )
+    return np.where(accept, top, -1)
+
+
+def _observe_grow(t0: float, n_levels: int, n_rows: int, n_trees: int) -> None:
+    registry = get_registry()
+    if registry.enabled:
+        registry.histogram("repro_forest_grow_seconds").observe(
+            perf_counter() - t0
+        )
+        registry.counter("repro_forest_levels_total").inc(n_levels)
+        registry.counter("repro_forest_rows_total").inc(n_rows)
+        registry.counter("repro_forest_trees_total").inc(n_trees)
 
 
 def _renumber_to_dfs(
@@ -509,7 +797,7 @@ def _fit_cart_forest(
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """One CART tree per group; returns (node record, in-sample pred)."""
     leaf_pred = np.empty(ys.shape[0])
-    rec = _grow_forest(
+    rec = _grow(
         bins, ys, offsets, kind="cart", max_depth=max_depth,
         min_samples_leaf=min_samples_leaf,
         min_samples_split=min_samples_split, leaf_pred=leaf_pred,
@@ -538,7 +826,7 @@ def _fit_gboost_forest(
     rounds: list[dict[str, np.ndarray]] = []
     for _ in range(n_estimators):
         residual = ys - prediction
-        rounds.append(_grow_forest(
+        rounds.append(_grow(
             bins, residual, offsets, kind="cart", max_depth=max_depth,
             min_samples_leaf=min_samples_leaf,
             min_samples_split=min_samples_split, leaf_pred=leaf_pred,
@@ -566,7 +854,7 @@ def _fit_xgb_forest(
     rounds: list[dict[str, np.ndarray]] = []
     for _ in range(n_estimators):
         grad = prediction - ys
-        rounds.append(_grow_forest(
+        rounds.append(_grow(
             bins, grad, offsets, kind="xgb", max_depth=max_depth,
             min_child_weight=min_child_weight, reg_lambda=reg_lambda,
             gamma=gamma, leaf_pred=leaf_pred,

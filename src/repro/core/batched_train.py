@@ -43,9 +43,9 @@ group (paper §2.3 treats each group value as a separate data set).
   Multivariate OLS regressors join the stacked normal-equation solve with
   a ``d + 1``-wide design.
 * **Nonlinear regressors** (tree / gboost / xgboost / ensemble) cannot be
-  stacked into a linear solve; they grow through the level-synchronous
-  forest kernel (:mod:`repro.core.batched_forest`), all groups' trees one
-  depth level at a time.
+  stacked into a linear solve; they grow through the forest kernel
+  (:mod:`repro.core.batched_forest`), all groups' trees one depth level
+  at a time — on the per-(group, bin) table in 1-D, on rows above.
 
 Contract
 ========

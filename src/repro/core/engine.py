@@ -215,7 +215,6 @@ class DBEst:
             "sampling_seconds": sampling_seconds,
             "training_seconds": training_seconds,
             "sample_size": int(min(size, base.n_rows)),
-            "model_bytes": model.size_bytes(),
         }
         return key
 
@@ -360,7 +359,6 @@ class DBEst:
             "sampling_seconds": sampling_seconds,
             "training_seconds": training_seconds,
             "sample_size": sample.n_rows,
-            "model_bytes": model.size_bytes(),
         }
         return key
 
@@ -676,8 +674,13 @@ class DBEst:
         return self.catalog.total_size_bytes()
 
     def describe(self) -> list[dict]:
-        """Catalog summary joined with per-model build statistics."""
+        """Catalog summary joined with per-model build statistics.
+
+        ``model_bytes`` (the serialised size) is measured here, when
+        asked for: a build does not pickle the model it just trained.
+        """
         rows = self.catalog.summary()
         for row, key in zip(rows, self.catalog.keys()):
             row.update(self.build_stats.get(key, {}))
+            row["model_bytes"] = self.catalog.get(key).size_bytes()
         return rows

@@ -330,6 +330,13 @@ def four_leg_percentile(model: ColumnSetModel, p: float, ranges: Ranges) -> floa
     lo, hi = density.support
     if ranges:
         lo, hi = clip(model, *bounds(model, ranges)[0])
+    if hi <= lo:
+        return math.nan
+    point = getattr(density, "_point_mass", None)
+    if point is not None:
+        # A unit step reaches every p at the point, when the range holds
+        # it (both ends inclusive, COUNT's rule).
+        return point if lo <= point <= hi else math.nan
     total = density.integrate(lo, hi)
     if total <= _EMPTY_DENSITY:
         return math.nan

@@ -3,15 +3,18 @@
 Per-group row-wise fits (``repro.reference.make_regressor(config).fit``
 on each group's slice, as ``reference.train_groups`` makes them) are the
 reference oracle; the batched forest kernel
-(:mod:`repro.core.batched_forest`) must produce **bit-identical** node
-arrays — feature / threshold / left / right / value, same dtypes, same
-DFS order — for every tree, every boosting round, every constituent,
-across 1-D and multivariate fits, every depth, and the degenerate
-groups (constant features, single rows, sub-split-size groups) that
-stress the stop rules.  The ensemble's range-selector labels must equal
-``reference.selector_labels``.  A guard pins the train paths: no scalar
-model, set, refresh or engine build may call a row-wise density or
-regressor ``fit``, or a forest ``predict``.
+(:mod:`repro.core.batched_forest`: the bin-table grower in 1-D, the row
+grower in 2-D) must produce **bit-identical** node arrays — feature /
+threshold / left / right / value, same dtypes, same DFS order — for
+every tree, every boosting round, every constituent, across 1-D and
+multivariate fits, every depth, and the degenerate groups (constant
+features, single rows, sub-split-size groups) that stress the stop
+rules.  A group's node arrays and in-sample predictions are the same
+bits whether it trains alone, in the full set or in a refresh's dirty
+subset.  The ensemble's range-selector labels must equal
+``reference.selector_labels``, and the oracle's.  A guard pins the train
+paths: no scalar model, set, refresh or engine build may call a row-wise
+density or regressor ``fit``, or a forest ``predict``.
 """
 
 from __future__ import annotations
@@ -286,6 +289,13 @@ class TestFitForestRegressors:
             oracle = scalar_fit(
                 lambda: reference.make_regressor(config), x2d, y, offsets, g
             )
+            seg = slice(int(offsets[g]), int(offsets[g + 1]))
+            _, labels, _ = reference.selector_labels(
+                regressors[g], x2d[seg, 0], y[seg]
+            )
+            assert labels == reference.selector_labels(
+                oracle, x2d[seg, 0], y[seg]
+            )[1]
             for lb, ub in ((0.0, 10.0), (20.0, 80.0), (5.0, 95.0),
                            (None, None)):
                 assert regressors[g].select(lb, ub) == oracle.select(lb, ub)
@@ -311,6 +321,83 @@ class TestFitForestRegressors:
         oracle = DecisionTreeRegressor().fit(x2d[:, 0], y)
         assert_tree_nodes_equal(regressors[0], oracle, "all-constant")
         np.testing.assert_array_equal(pred, oracle.predict(x2d[:, 0]))
+
+
+class TestBatchIndependence:
+    """A group's forest is the same bits whichever groups train beside
+    it: every reduction of both kernels runs per group (or per node)."""
+
+    @pytest.mark.parametrize("regressor",
+                             ["tree", "gboost", "xgboost", "ensemble"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_alone_full_set_and_subset(self, regressor, d):
+        x2d, y, offsets = make_flat(d=d)
+        config = DBEstConfig(regressor=regressor, random_seed=3)
+        full, full_pred = fit_forest_regressors(x2d, y, offsets, config)
+        # The constant group, and two groups narrower than the widest.
+        subset = (0, CONSTANT_GROUP, 4)
+        segs = [slice(int(offsets[g]), int(offsets[g + 1])) for g in subset]
+        rows = np.concatenate([np.arange(s.start, s.stop) for s in segs])
+        sub_offsets = np.concatenate(
+            ([0], np.cumsum([s.stop - s.start for s in segs]))
+        )
+        part, part_pred = fit_forest_regressors(
+            x2d[rows], y[rows], sub_offsets, config
+        )
+        for i, (g, seg) in enumerate(zip(subset, segs)):
+            alone, alone_pred = fit_forest_regressors(
+                x2d[seg], y[seg], np.asarray([0, seg.stop - seg.start]),
+                config,
+            )
+            for got, pred, context in (
+                (alone[0], alone_pred, "alone"),
+                (part[i], part_pred[sub_offsets[i]:sub_offsets[i + 1]],
+                 "subset"),
+            ):
+                context = f"{regressor} d={d} group {g} {context}"
+                assert_regressor_equal(got, full[g], context)
+                np.testing.assert_array_equal(pred, full_pred[seg],
+                                              err_msg=context)
+
+    @pytest.mark.parametrize("regressor",
+                             ["tree", "gboost", "xgboost", "ensemble"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_refresh_refits_the_dirty_groups_as_alone(self, regressor, d):
+        rng = np.random.default_rng(21)
+        groups = np.repeat(np.arange(5.0), 80)
+        x = rng.uniform(0.0, 100.0, size=(groups.shape[0] + 40, d))
+        y = (np.concatenate([groups, np.repeat([1.0, 3.0], 20)]) + 1.0) \
+            * 0.1 * x[:, 0] + rng.normal(0.0, 1.0, size=x.shape[0])
+        features = x[:, 0] if d == 1 else x
+        config = DBEstConfig(regressor=regressor, min_group_rows=30,
+                             random_seed=21, integration_points=65)
+        model_set = GroupByModelSet.train(
+            sample_x=features[:400], sample_y=y[:400], sample_groups=groups,
+            full_groups=groups, full_x=features[:400], full_y=y[:400],
+            table_name="t", x_columns=("x",) if d == 1 else ("x", "z"),
+            y_column="y", group_column="g", config=config, streaming=True,
+        )
+        before = dict(model_set.models)
+        dirty = model_set.refresh(
+            features[400:], y[400:], np.repeat([1.0, 3.0], 20)
+        )
+        assert dirty == [1.0, 3.0]
+        stream = model_set._stream
+        sample_x = stream.sample_x.reshape(stream.sample_x.shape[0], d)
+        for i, value in enumerate(stream.part.values.tolist()):
+            model = model_set.models[value]
+            if value not in dirty:
+                assert model is before[value]
+                continue
+            rows = stream.part.order[
+                stream.part.offsets[i]:stream.part.offsets[i + 1]
+            ]
+            alone, _ = fit_forest_regressors(
+                sample_x[rows], stream.sample_y[rows],
+                np.asarray([0, rows.shape[0]]), config,
+            )
+            assert_regressor_equal(model.regressor, alone[0],
+                                   f"{regressor} d={d} group {value}")
 
 
 class TestSelectorLabels:
@@ -352,7 +439,12 @@ class TestSelectorLabels:
         config = DBEstConfig(regressor="ensemble", random_seed=7)
         fit_forest_regressors(x[:, None], y, np.asarray([0, x.shape[0]]), config)
         self._assert_reference_labels(calls)
-        assert calls[0][0].selector_ is not None
+        ens = calls[0][0]
+        assert ens.selector_ is not None
+        # The row-wise fit labels the same ranges with the same picks.
+        oracle = reference.make_regressor(config).fit(x, y)
+        assert reference.selector_labels(oracle, x, y)[1] == calls[0][3][1]
+        assert ens.select() == oracle.select()
 
     def test_small_groups_skip_sparse_ranges(self, monkeypatch):
         calls = self._capture(monkeypatch)

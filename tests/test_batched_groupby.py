@@ -19,11 +19,7 @@ from repro.core import DBEstConfig, GroupByModelSet
 from repro.core.batched import BatchedGroupEvaluator
 from repro.core.groupby import RawGroup
 from repro.core.model import ColumnSetModel
-from repro.errors import (
-    InvalidParameterError,
-    QueryExecutionError,
-    UnsupportedQueryError,
-)
+from repro.errors import InvalidParameterError, UnsupportedQueryError
 from repro.integrate import simpson_weights
 from repro.ml.kde import KernelDensityEstimator
 from repro.reference import simpson_grid
@@ -187,13 +183,18 @@ class TestErrorParity:
                     batched=batched,
                 )
 
-    def test_percentile_outside_domain_raises(self, model_set):
+    def test_percentile_outside_domain_answers_nan(self, model_set):
+        # Every group's clipped range is empty: each answers NaN, as
+        # COUNT answers 0, and the set does not raise.
         aggregate = AggregateCall("PERCENTILE", "x", 0.5)
         for batched in (True, False):
-            with pytest.raises((InvalidParameterError, QueryExecutionError)):
-                model_set.answer(
-                    aggregate, {"x": (-50.0, -10.0)}, batched=batched
-                )
+            got = model_set.answer(
+                aggregate, {"x": (-50.0, -10.0)}, batched=batched
+            )
+            assert set(got) == set(model_set.models) | set(
+                model_set.raw_groups
+            )
+            assert all(math.isnan(value) for value in got.values())
 
     def test_bad_percentile_parameter(self, model_set):
         for batched in (True, False):

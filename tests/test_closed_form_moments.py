@@ -399,8 +399,10 @@ def same_bits(left: dict, right: dict) -> bool:
 POINT_MASS_GROUP, POINT_MASS_X = 4, 42.0
 
 
-def make_model_set(regressor: str, seed: int = 6) -> GroupByModelSet:
-    """Seven modelled groups (one of them constant in x), unequal sizes."""
+def make_model_set(regressor: str, seed: int = 6,
+                   drop: int | None = None) -> GroupByModelSet:
+    """Seven modelled groups (one of them constant in x), unequal sizes;
+    ``drop`` trains the same rows without that group."""
     rng = np.random.default_rng(seed)
     sizes = (300, 220, 400, 260, 200, 350, 280)
     groups = np.repeat(np.arange(len(sizes)), sizes)
@@ -409,6 +411,8 @@ def make_model_set(regressor: str, seed: int = 6) -> GroupByModelSet:
     y = (groups + 1.0) * 0.3 * x + 10.0 * np.cos(x / 11.0) + rng.normal(
         0.0, 1.0 + x / 50.0
     )
+    keep = groups != drop
+    groups, x, y = groups[keep], x[keep], y[keep]
     return GroupByModelSet.train(
         sample_x=x, sample_y=y, sample_groups=groups,
         full_groups=groups, full_x=x, full_y=y,
@@ -656,6 +660,39 @@ class TestPercentileSolve:
                 got = model_set.answer(aggregate, ranges, batched=batched)
                 got = got[POINT_MASS_GROUP]
                 assert got == want if want is not None else math.isnan(got)
+
+    def test_a_range_starting_on_the_point_matches_the_oracle(self):
+        model_set = trained_model_set("plr")
+        model = model_set.models[POINT_MASS_GROUP]
+        ranges = {"x": (POINT_MASS_X, 50.0)}
+        want = reference.four_leg_percentile(model, 0.3, ranges)
+        assert want == POINT_MASS_X
+        got = model_set.answer(AggregateCall("PERCENTILE", "x", 0.3), ranges)
+        assert got[POINT_MASS_GROUP] == want
+
+    def test_a_group_with_an_empty_range_answers_nan_alone(self):
+        """x BETWEEN 10 AND 41 ends below the point-mass group's support
+        (COUNT gives it 0): that group answers NaN, and every other group
+        answers as in a set trained without it."""
+        model_set = trained_model_set("plr")
+        without = make_model_set("plr", drop=POINT_MASS_GROUP)
+        ranges = {"x": (10.0, 41.0)}
+        count = model_set.answer(AggregateCall("COUNT", "x"), ranges)
+        assert count[POINT_MASS_GROUP] == 0.0
+        aggregate = AggregateCall("PERCENTILE", "x", 0.3)
+        batched = model_set.answer(aggregate, ranges, batched=True)
+        assert_parity(batched, model_set.answer(aggregate, ranges,
+                                                batched=False))
+        assert math.isnan(batched[POINT_MASS_GROUP])
+        others = without.answer(aggregate, ranges)
+        assert set(others) == set(batched) - {POINT_MASS_GROUP}
+        for value, model in model_set.models.items():
+            want = reference.four_leg_percentile(model, 0.3, ranges)
+            if value == POINT_MASS_GROUP:
+                assert math.isnan(want)
+                continue
+            assert abs(batched[value] - others[value]) <= 1e-9, value
+            assert abs(batched[value] - want) <= 1e-9, value
 
     def test_evaluations_per_solve_are_recorded(self):
         model_set = trained_model_set("plr")

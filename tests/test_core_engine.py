@@ -1,5 +1,7 @@
 """End-to-end tests of the DBEst engine façade."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -201,17 +203,41 @@ class TestJoinQueries:
                 "fact", "dim", "k", "k", x="attr", y="m", strategy="magic"
             )
 
+    def test_builders_do_not_pickle_the_model(self, join_tables,
+                                              fast_config, monkeypatch):
+        fact, dim = join_tables
+        engine = DBEst(config=fast_config)
+        engine.register_table(fact)
+        engine.register_table(dim)
+        calls: list = []
+        dumps = pickle.dumps
+
+        def spy(*args, **kwargs):
+            calls.append(type(args[0]).__name__)
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(pickle, "dumps", spy)
+        engine.build_model("fact", x="m", sample_size=2000)
+        engine.build_model("fact", x="m", group_by="k", sample_size=2000)
+        engine.build_join_model("fact", "dim", "k", "k", x="attr", y="m",
+                                sample_size=2000)
+        assert len(engine.build_stats) == 3
+        assert calls == []
+
     def test_join_table_name(self):
         assert join_table_name("a", "b") == "a_join_b"
 
 
 class TestStateManagement:
     def test_build_stats_recorded(self, engine):
-        stats = next(iter(engine.build_stats.values()))
+        key, stats = next(iter(engine.build_stats.items()))
         assert stats["sample_size"] == 3000
-        assert stats["model_bytes"] > 0
         assert stats["sampling_seconds"] >= 0
         assert stats["training_seconds"] > 0
+        # The serialised size is measured when described, not at build.
+        assert "model_bytes" not in stats
+        row = engine.describe()[0]
+        assert row["model_bytes"] == engine.catalog.get(key).size_bytes() > 0
 
     def test_state_size(self, engine):
         assert engine.state_size_bytes() > 0
